@@ -172,7 +172,8 @@ def _reason_fields(verdict: DensityVerdict) -> tuple[str, dict]:
         return f"IndexTwoRealization parent={reason.parent.text()}", {
             "kind": "IndexTwoRealization", "parent": reason.parent.text(),
         }
-    assert isinstance(reason, InductiveReduction)
+    if not isinstance(reason, InductiveReduction):
+        raise TypeError(f"unknown density reason {reason!r}")
     retained = ",".join(str(d) for d in reason.retained)
     split = ",".join(str(d) for d in reason.split)
     return (
@@ -362,21 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    """REPVAR_THREADS caps internal parallelism; 0 or unset means the default.
-
-    The current implementation is single-threaded throughout, so any cap is
-    honored trivially; the value is still validated for interface stability.
-    """
-    raw = os.environ.get("REPVAR_THREADS", "")
-    if raw == "":
-        return 0
-    value = int(raw)
-    if value < 0:
-        raise ValueError("REPVAR_THREADS must be non-negative")
-    return value
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -384,7 +370,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _thread_cap()
         return args.func(args)
     except (SignatureError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

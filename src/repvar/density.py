@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .presentation import FuchsianPresentation
+from .presentation import BadPeriodError, FuchsianPresentation
 
 EXCEPTIONAL_SIGNATURES = frozenset(
     {(2, 4, 6), (2, 6, 6), (3, 4, 4), (3, 6, 6), (2, 6, 10), (4, 6, 12)}
@@ -83,7 +83,8 @@ class DensityVerdict:
     note: str = ""
 
     def __post_init__(self) -> None:
-        assert self.dense == (not isinstance(self.reason, ExceptionalSet))
+        if self.dense != (not isinstance(self.reason, ExceptionalSet)):
+            raise ValueError("a verdict is not-dense exactly when its reason is ExceptionalSet")
 
 
 def strict_triangle(q1: Fraction, q2: Fraction, q3: Fraction) -> bool:
@@ -108,8 +109,10 @@ def triangle_witness(
     Searches lexicographically over numerators with gcd(a_i, d_i) = 1 and
     0 < a_i <= d_i/2 for angle fractions a_i/d_i satisfying the (strict, if
     flagged) triangle inequality; None when no such triple exists.  The
-    triple must be hyperbolic.
+    triple must be hyperbolic; a period < 2 raises ``BadPeriodError``.
     """
+    if min(d1, d2, d3) < 2:
+        raise BadPeriodError(f"periods must be >= 2, got {min(d1, d2, d3)}")
     if sum(Fraction(1, d) for d in (d1, d2, d3)) >= 1:
         raise ValueError(f"({d1},{d2},{d3}) is not a hyperbolic triple")
     for a1 in _coprime_numerators(d1):
@@ -269,6 +272,7 @@ def is_so3_dense(p: FuchsianPresentation) -> DensityVerdict:
         if periods in _SHADOWED_TRIPLES:
             return DensityVerdict(True, IndexTwoRealization(_index_two_parent(periods)))
         witness = triangle_witness(*periods, strict=True)
-        assert witness is not None  # guaranteed off the exceptional set
+        if witness is None:  # guaranteed off the exceptional set
+            raise ArithmeticError(f"no strict witness for {periods} off the exceptional set")
         return DensityVerdict(True, TriangleWitness(witness))
     return DensityVerdict(True, _reduction_step(periods))

@@ -5,7 +5,7 @@ than derived from root-system combinatorics; the identity
 
     dim G = sum_i (2 e_i + 1)
 
-is asserted for every constructed instance and is the guard against
+is checked for every constructed instance and is the guard against
 transcription errors.  D_3 is accepted as an alias for A_3.
 """
 
@@ -44,8 +44,10 @@ class RootSystem:
         else:
             raise ValueError(f"unknown family {self.family!r}")
         # transcription guard: dim G = sum(2e + 1)
-        assert dimension(self) == sum(2 * e + 1 for e in exponents(self))
-        assert len(exponents(self)) == self.rank
+        if dimension(self) != sum(2 * e + 1 for e in exponents(self)):
+            raise ArithmeticError(f"{self}: dim G != sum(2e + 1) over the exponents")
+        if len(exponents(self)) != self.rank:
+            raise ArithmeticError(f"{self}: exponent count != rank")
 
     def label(self) -> str:
         return self.family if self.family in EXCEPTIONAL_RANK else f"{self.family}{self.rank}"

@@ -7,6 +7,17 @@ No randomization anywhere, so certification runs are reproducible bit for
 bit.  Orders are exact arbitrary-precision integers; the degrees used by the
 shipped data (12 and 14) are nowhere near any internal limit.
 
+``Permutation`` (1-based, validated) is the type at the boundary: chains are
+built from, test, and report ``Permutation``s.  Inside, the chain works on
+bare 0-based image tuples, composed with ``tuple(map(x.__getitem__, y))``,
+and stores each coset representative with its inverse, so the inner loops
+never allocate or validate a ``Permutation``.
+
+Construction stops as soon as the basic-orbit lengths multiply to the parity
+ceiling (n!/2 for even generators, n! otherwise); see ``StabilizerChain``
+for why that is exact.  Generating sets of A_n and S_n, the shipped triples
+among them, stop there; smaller groups close by the full test.
+
 ``APPENDIX_ENTRIES`` holds the six triples of even permutations, one per
 non-SO(3)-dense signature, parsed from their printed cycle notation.  The
 product convention is function composition: x1*x2*x3 applies x3 first.
@@ -15,6 +26,7 @@ product convention is function composition: x1*x2*x3 applies x3 first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Sequence
 
@@ -23,23 +35,39 @@ from .eigen import (
     DegreeMismatchError,
     Permutation,
     cycles_text,
-    identity_perm,
     perm_compose,
     perm_from_cycles,
-    perm_inverse,
     perm_order,
     perm_parity,
 )
 from .presentation import FuchsianPresentation
 
+_Images = tuple[int, ...]  # 0-based: images[i] is the image of point i
+
 
 class StabilizerChain:
-    """Stabilizer chain for the subgroup generated by ``gens``.
+    """Stabilizer chain (base and strong generating set) of ``<gens>``.
 
-    ``base`` lists the stabilized points, ``transversals[i]`` maps each point
-    of the i-th basic orbit to a coset representative u with
-    u(base[i]) = point, and the group order is the product of orbit sizes.
-    Chains are immutable once built and safe to share.
+    The public view is 1-based and validated: ``base`` lists the stabilized
+    points, ``transversals[i]`` maps each point of the i-th basic orbit to a
+    coset representative u with u(base[i]) = point, ``level_generators``
+    returns ``Permutation``s, and ``contains`` takes one.  The group order is
+    the product of the basic-orbit lengths.
+
+    Inside, every permutation is a bare 0-based image tuple, and each
+    transversal entry holds a representative together with its inverse, so
+    sifting and Schreier generators u_q^-1 * s * u_p compose tuples and never
+    invert or validate.
+
+    Construction stops early once the orbit lengths multiply to the parity
+    ceiling: n!/2 when every generator is even, n! otherwise.  That is sound
+    because each basic orbit is built from generators of a subgroup of the
+    true stabilizer, so the product only ever undercounts |G|, and |G| is at
+    most the ceiling.  Reaching it forces every basic orbit to be complete
+    and the base's pointwise stabilizer to be trivial, so the chain is a
+    valid BSGS and ``order`` and ``contains`` are exact.  Groups below the
+    ceiling close by the full Schreier-Sims test.  Chains are immutable once
+    built and safe to share.
     """
 
     def __init__(self, gens: Sequence[Permutation]):
@@ -49,100 +77,126 @@ class StabilizerChain:
         if any(g.degree != degree for g in gens):
             raise DegreeMismatchError("generators must share a degree")
         self.degree = degree
-        self.base: list[int] = []
-        self.transversals: list[dict[int, Permutation]] = []
-        self._sgens: list[Permutation] = []
+        self._identity = tuple(range(degree))
+        odd = any(perm_parity(g) == "odd" for g in gens)
+        self._ceiling = factorial(degree) // (1 if odd else 2)
+        self._base: list[int] = []
+        # per level: point -> (u, u^-1) with u(base point) = point
+        self._trans: list[dict[int, tuple[_Images, _Images]]] = []
+        self._sgens: list[tuple[_Images, _Images]] = []
         self._sgen_level: list[int] = []
-        seed = [g for g in gens if not g.is_identity()]
+        seed = [t for t in map(_to_images, gens) if t != self._identity]
         if seed:
             self._append_base_point(self._least_moved(seed[0]))
-            for g in seed:
-                self._sgens.append(g)
-                self._sgen_level.append(self._fixed_prefix(g))
+            for t in seed:
+                self._add_strong_generator(t)
             self._close()
+
+    @property
+    def base(self) -> list[int]:
+        return [b + 1 for b in self._base]
+
+    @cached_property
+    def transversals(self) -> list[dict[int, Permutation]]:
+        return [
+            {q + 1: _to_perm(u) for q, (u, _) in tr.items()} for tr in self._trans
+        ]
 
     def order(self) -> int:
         total = 1
-        for tr in self.transversals:
+        for tr in self._trans:
             total *= len(tr)
         return total
 
     def level_generators(self, level: int) -> list[Permutation]:
         """Strong generators fixing the first ``level`` base points."""
-        return [g for g, l in zip(self._sgens, self._sgen_level) if l >= level]
+        return [_to_perm(s) for s, _ in self._level_gens(level)]
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise DegreeMismatchError(f"degree {g.degree} != {self.degree}")
-        residue, _ = self._sift(g, 0)
-        return residue.is_identity()
+        residue, _ = self._sift(_to_images(g), 0)
+        return residue == self._identity
 
-    # -- construction internals -------------------------------------------
+    # -- construction internals, all on 0-based image tuples ---------------
 
     @staticmethod
-    def _least_moved(g: Permutation) -> int:
-        return min(p for p in range(1, g.degree + 1) if g(p) != p)
+    def _least_moved(g: _Images) -> int:
+        return next(p for p, q in enumerate(g) if p != q)
 
-    def _fixed_prefix(self, g: Permutation) -> int:
+    def _fixed_prefix(self, g: _Images) -> int:
         level = 0
-        while level < len(self.base) and g(self.base[level]) == self.base[level]:
+        while level < len(self._base) and g[self._base[level]] == self._base[level]:
             level += 1
         return level
 
     def _append_base_point(self, point: int) -> None:
-        self.base.append(point)
-        self.transversals.append({point: identity_perm(self.degree)})
+        self._base.append(point)
+        self._trans.append({point: (self._identity, self._identity)})
+
+    def _add_strong_generator(self, g: _Images) -> None:
+        inv = [0] * self.degree
+        for p, q in enumerate(g):
+            inv[q] = p
+        self._sgens.append((g, tuple(inv)))
+        self._sgen_level.append(self._fixed_prefix(g))
+
+    def _level_gens(self, level: int) -> list[tuple[_Images, _Images]]:
+        return [s for s, l in zip(self._sgens, self._sgen_level) if l >= level]
 
     def _rebuild_orbit(self, level: int) -> None:
-        gens = self.level_generators(level)
-        tr = {self.base[level]: identity_perm(self.degree)}
-        queue = [self.base[level]]
-        while queue:
-            p = queue.pop(0)
-            u = tr[p]
-            for s in gens:
-                q = s(p)
+        gens = self._level_gens(level)
+        b = self._base[level]
+        tr = {b: (self._identity, self._identity)}
+        queue = [b]
+        for p in queue:
+            u, u_inv = tr[p]
+            for s, s_inv in gens:
+                q = s[p]
                 if q not in tr:
-                    tr[q] = perm_compose(s, u)
+                    tr[q] = (
+                        tuple(map(s.__getitem__, u)),
+                        tuple(map(u_inv.__getitem__, s_inv)),
+                    )
                     queue.append(q)
-        self.transversals[level] = tr
+        self._trans[level] = tr
 
-    def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
+    def _sift(self, g: _Images, start: int) -> tuple[_Images, int]:
         """Strip g through levels >= start; return (residue, level reached)."""
-        for level in range(start, len(self.base)):
-            image = g(self.base[level])
-            u = self.transversals[level].get(image)
-            if u is None:
+        for level in range(start, len(self._base)):
+            entry = self._trans[level].get(g[self._base[level]])
+            if entry is None:
                 return g, level
-            g = perm_compose(perm_inverse(u), g)
-        return g, len(self.base)
+            g = tuple(map(entry[1].__getitem__, g))
+        return g, len(self._base)
 
     def _close(self) -> None:
-        for level in range(len(self.base)):
+        for level in range(len(self._base)):
             self._rebuild_orbit(level)
-        level = len(self.base) - 1
+        level = len(self._base) - 1
         while level >= 0:
             self._rebuild_orbit(level)
-            tr = self.transversals[level]
-            gens = self.level_generators(level)
+            if self.order() == self._ceiling:  # a complete BSGS; see the class docstring
+                return
+            tr = self._trans[level]
+            gens = self._level_gens(level)
             restart = False
             for p in sorted(tr):
-                u_p = tr[p]
-                for s in gens:
-                    u_q = tr.get(s(p))
-                    if u_q is None:  # orbit grew stale under a new generator
+                u_p = tr[p][0]
+                for s, _ in gens:
+                    entry = tr.get(s[p])
+                    if entry is None:  # orbit grew stale under a new generator
                         restart = True
                         break
-                    schreier = perm_compose(perm_inverse(u_q), perm_compose(s, u_p))
-                    if schreier.is_identity():
+                    schreier = tuple(map(entry[1].__getitem__, map(s.__getitem__, u_p)))
+                    if schreier == self._identity:
                         continue
                     residue, drop = self._sift(schreier, level + 1)
-                    if not residue.is_identity():
-                        if drop == len(self.base):
+                    if residue != self._identity:
+                        if drop == len(self._base):
                             self._append_base_point(self._least_moved(residue))
-                        self._sgens.append(residue)
-                        self._sgen_level.append(self._fixed_prefix(residue))
-                        for lower in range(level + 1, len(self.base)):
+                        self._add_strong_generator(residue)
+                        for lower in range(level + 1, len(self._base)):
                             self._rebuild_orbit(lower)
                         level = drop
                         restart = True
@@ -152,6 +206,14 @@ class StabilizerChain:
             if restart:
                 continue
             level -= 1
+
+
+def _to_images(x: Permutation) -> _Images:
+    return tuple(p - 1 for p in x.images)
+
+
+def _to_perm(t: _Images) -> Permutation:
+    return Permutation(tuple(p + 1 for p in t))
 
 
 def group_order(gens: Sequence[Permutation]) -> int:

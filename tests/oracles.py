@@ -3,9 +3,10 @@
 Each oracle deliberately takes a different computational route from the
 implementation it cross-checks: fixed spaces on the exterior square go
 through the character average rather than pair counting, group orders go
-through brute-force product closure rather than a stabilizer chain, and
-interval representatives go through smallest-numerator search with pure
-integer inequalities rather than the closed-form construction.
+through brute-force product closure or sympy's permutation groups rather
+than repvar's stabilizer chain, and interval representatives go through
+smallest-numerator search with pure integer inequalities rather than the
+closed-form construction.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def closure_order(gens: list[Permutation]) -> int:
                     fresh.append(y)
         frontier = fresh
     return len(seen)
+
+
+def sympy_group(gens: list[Permutation], queries: list[Permutation]) -> tuple[int, list[bool]]:
+    """Order of the generated group and membership of each query, by sympy.
+
+    sympy is imported here so that it stays a test-only dependency.
+    """
+    from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
+
+    def convert(x: Permutation) -> SymPerm:
+        return SymPerm([p - 1 for p in x.images])
+
+    group = PermutationGroup([convert(g) for g in gens])
+    return int(group.order()), [bool(group.contains(convert(q))) for q in queries]
 
 
 def smallest_interval_numerator(d: int, case: int) -> int | None:

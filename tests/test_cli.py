@@ -181,15 +181,23 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "z1", "alternating", "g=0;d=2,3,7", "--degree", "5")
     assert code == 2
+    # periods below 2 are bad input, not a missing witness
+    for argv in (["triangle-witness", "0", "3", "7"], ["triangle-witness", "--", "-3", "3", "7"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("REPVAR_THREADS", "4")
-    code, out, _ = run(capsys, "euler", "g=0;d=2,3,7")
-    assert (code, out) == (0, "-1/42\n")
-    monkeypatch.setenv("REPVAR_THREADS", "bogus")
-    code, _, err = run(capsys, "euler", "g=0;d=2,3,7")
-    assert code == 2
+def test_output_survives_optimize_flag():
+    # checks the results depend on are raises, so -O must not change output
+    for argv in (["verify-appendix", "--format", "json"], ["density", "g=0;d=2,3,7"]):
+        outs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "repvar", *argv],
+                capture_output=True, check=True,
+            ).stdout
+            for flags in ([], ["-O"])
+        ]
+        assert outs[0] == outs[1] and outs[0]
 
 
 def test_module_entry_point():

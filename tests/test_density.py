@@ -191,6 +191,6 @@ def test_inductive_reduction_reasons():
 def test_verdict_consistency():
     assert not is_so3_dense(FuchsianPresentation(0, (2, 6, 10))).dense
     # the dense flag and the ExceptionalSet reason are tied together
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         from repvar.density import DensityVerdict
         DensityVerdict(True, ExceptionalSet())

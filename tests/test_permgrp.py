@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from fixtures import ALTERNATING_ORDERS, APPENDIX_DERIVED
-from oracles import closure_order
+from oracles import closure_order, sympy_group
 from repvar.eigen import (
     DegreeMismatchError,
     Permutation,
@@ -13,6 +13,7 @@ from repvar.eigen import (
     perm_compose,
     perm_from_cycles,
     perm_inverse,
+    perm_parity,
 )
 from repvar.permgrp import (
     APPENDIX_ENTRIES,
@@ -78,19 +79,123 @@ def test_generates_alternating():
         generates_alternating([identity_perm(5)], 4)
 
 
+def _random_perm(rng, n, even=None):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    x = Permutation(tuple(images))
+    if even is not None and (perm_parity(x) == "even") != even:
+        images[0], images[1] = images[1], images[0]
+        x = Permutation(tuple(images))
+    return x
+
+
+def _block_pair(rng, n):
+    """Two permutations preserving a block system (composite n) or a split
+    of the points into two orbits (prime n), and a 3-cycle breaking it."""
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    sizes = [b for b in range(2, n) if n % b == 0]
+    if sizes:
+        b = rng.choice(sizes)
+        parts = [points[i:i + b] for i in range(0, n, b)]
+    else:
+        a = rng.randint(2, n - 2)
+        parts = [points[:a], points[a:]]
+    gens = []
+    for _ in range(2):
+        targets = parts[:]
+        if sizes:
+            rng.shuffle(targets)
+        images = [0] * n
+        for src, dst in zip(parts, targets):
+            dst = rng.sample(dst, len(dst))
+            for p, q in zip(src, dst):
+                images[p - 1] = q
+        gens.append(Permutation(tuple(images)))
+    (x, y), z = parts[0][:2], parts[1][0]
+    return gens, perm_from_cycles(f"({x} {y} {z})", n)
+
+
+def _check_against_sympy(rng, gens, outsider):
+    """Compare order, generation and membership with sympy on six member
+    words and on ``outsider`` times each; return the order and membership."""
+    n = gens[0].degree
+    members = []
+    for _ in range(6):
+        x = identity_perm(n)
+        for _ in range(rng.randint(4, 16)):
+            x = perm_compose(rng.choice(gens), x)
+        members.append(x)
+    queries = members + [perm_compose(outsider, x) for x in members]
+    order, membership = sympy_group(gens, queries)
+    assert membership[:6] == [True] * 6
+    assert group_order(gens) == order
+    chain = StabilizerChain(gens)
+    assert [chain.contains(q) for q in queries] == membership
+    even = all(perm_parity(g) == "even" for g in gens)
+    assert generates_alternating(gens, n) is (even and order == factorial(n) // 2)
+    return order, membership
+
+
+def test_chain_matches_sympy_oracle():
+    # even pairs stop at n!/2, pairs with an odd generator at n!, and
+    # block-preserving pairs never reach the ceiling and close in full;
+    # random pairs are drawn until one reaches its ceiling, and every pair
+    # drawn on the way is checked too
+    rng = random.Random(2012)
+    for n in range(8, 19):
+        transposition = perm_from_cycles("(1 2)", n)
+        for even, ceiling in ((True, factorial(n) // 2), (False, factorial(n))):
+            for _ in range(10):
+                gens = [_random_perm(rng, n, even), _random_perm(rng, n, True if even else None)]
+                order, membership = _check_against_sympy(rng, gens, transposition)
+                if order == ceiling:
+                    # odd words are non-members of A_n and members of S_n
+                    assert membership[6:] == [not even] * 6
+                    break
+            else:
+                raise AssertionError(f"no random pair of degree {n} reached {ceiling}")
+        gens, breaker = _block_pair(rng, n)
+        order, membership = _check_against_sympy(rng, gens, breaker)
+        assert order < factorial(n) // 2 and membership[6:] == [False] * 6
+
+
 def test_stabilizer_chain_structure():
     entry = entry_by_label("3,6,6")
     chain = StabilizerChain(list(entry.generators))
-    assert chain.order() == ALTERNATING_ORDERS[12]
-    # order is the product of basic orbit sizes, with valid representatives
-    product = 1
-    for point, transversal in zip(chain.base, chain.transversals):
-        product *= len(transversal)
-        for target, rep in transversal.items():
-            assert rep(point) == target
-    assert product == chain.order()
     assert chain.contains(entry.x3)
     assert not chain.contains(perm_from_cycles("(1 2)", 12))
+    # a non-generating group: it preserves the blocks {1,2}, {3,4}, ..., {11,12}
+    blocks = [
+        perm_from_cycles("(1 3 5 7 9 11)(2 4 6 8 10 12)", 12),
+        perm_from_cycles("(1 2)(3 5)(4 6)", 12),
+    ]
+    groups = [(list(e.generators), ALTERNATING_ORDERS[e.degree]) for e in APPENDIX_ENTRIES]
+    groups.append((blocks, sympy_group(blocks, [])[0]))
+    for gens, expected in groups:
+        chain = StabilizerChain(gens)
+        assert chain.order() == expected
+        # the base is 1-based and starts at the least point moved by gens[0]
+        assert chain.base[0] == min(p for p in range(1, chain.degree + 1) if gens[0](p) != p)
+        assert all(1 <= b <= chain.degree for b in chain.base)
+        assert len(set(chain.base)) == len(chain.base) == len(chain.transversals)
+        # order is the product of basic orbit sizes, with valid representatives
+        product = 1
+        for level, (point, transversal) in enumerate(zip(chain.base, chain.transversals)):
+            product *= len(transversal)
+            assert transversal[point].is_identity()
+            for target, rep in transversal.items():
+                assert isinstance(rep, Permutation)
+                assert rep(point) == target
+                assert all(rep(b) == b for b in chain.base[:level])
+            for g in chain.level_generators(level):
+                assert all(g(b) == b for b in chain.base[:level])
+        assert product == chain.order()
+        strong = chain.level_generators(0)
+        assert all(isinstance(g, Permutation) for g in strong)
+        assert group_order(strong) == chain.order()
+        assert all(chain.contains(g) for g in strong)
+    assert not StabilizerChain(blocks).contains(perm_from_cycles("(1 2 3)", 12))
 
 
 def test_all_entries_verify():
