@@ -39,6 +39,7 @@ from .liedata import (
     dimension,
     parse_classical_group,
     parse_root_system,
+    so_dim,
 )
 from .permgrp import (
     APPENDIX_ENTRIES,
@@ -54,6 +55,8 @@ from .presentation import (
     parse_signature,
 )
 from .report import (
+    COLUMNS,
+    SCHEMA,
     defect_table,
     genus0_all2_values,
     render_table_text,
@@ -61,46 +64,42 @@ from .report import (
     tminusdim_table,
 )
 
-SCHEMA = 1
-
 
 def dump_json(obj: dict) -> str:
     """Canonical JSON rendering; parsing and re-dumping is byte-identical."""
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(args, text: str, obj: dict) -> None:
+def _emit(args, text: str, **fields) -> None:
+    """Print ``text``, or with ``--format json`` the command's JSON record."""
     if args.format == "json":
-        sys.stdout.write(dump_json(obj))
+        sys.stdout.write(dump_json({"schema": SCHEMA, "command": args.name, **fields}))
     else:
         sys.stdout.write(text)
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 def _cmd_euler(args) -> int:
     genus, periods = parse_signature(args.presentation)
     chi = euler_characteristic(genus, periods)
-    _emit(args, f"{chi}\n", {
-        "schema": SCHEMA, "command": "euler",
-        "presentation": args.presentation.strip(), "chi": str(chi),
-    })
+    _emit(args, f"{chi}\n", presentation=args.presentation.strip(), chi=str(chi))
     return 0
 
 
 def _cmd_validate(args) -> int:
-    genus, periods = parse_signature(args.presentation)
     try:
         p = parse_presentation(args.presentation)
     except NonHyperbolicError as exc:
-        _emit(args, f"invalid NonHyperbolic: {exc}\n", {
-            "schema": SCHEMA, "command": "validate", "ok": False,
-            "error": "NonHyperbolic", "detail": str(exc),
-        })
+        _emit(
+            args, f"invalid NonHyperbolic: {exc}\n",
+            ok=False, error="NonHyperbolic", detail=str(exc),
+        )
         return 1
     chi = p.euler_characteristic()
-    _emit(args, f"ok {p.text()} chi={chi}\n", {
-        "schema": SCHEMA, "command": "validate", "ok": True,
-        "presentation": p.text(), "chi": str(chi),
-    })
+    _emit(args, f"ok {p.text()} chi={chi}\n", ok=True, presentation=p.text(), chi=str(chi))
     return 0
 
 
@@ -108,11 +107,10 @@ def _cmd_z1_principal(args) -> int:
     p = parse_presentation(args.presentation)
     rs = parse_root_system(args.root_system)
     z1 = z1_dim_principal(p, rs)
-    _emit(args, f"{z1}\n", {
-        "schema": SCHEMA, "command": "z1-principal",
-        "presentation": p.text(), "root_system": rs.label(),
-        "z1": z1, "dim": dimension(rs), "t_minus_dim": z1 - dimension(rs),
-    })
+    _emit(
+        args, f"{z1}\n", presentation=p.text(), root_system=rs.label(),
+        z1=z1, dim=dimension(rs), t_minus_dim=z1 - dimension(rs),
+    )
     return 0
 
 
@@ -130,12 +128,11 @@ def _cmd_z1_alternating(args) -> int:
         generators = [balanced_class(degree, d) for d in p.periods]
         source = "balanced-classes"
     z1 = z1_dim_alternating_so(p, generators, degree)
-    so_dim = (degree - 1) * (degree - 2) // 2
-    _emit(args, f"{z1}\n", {
-        "schema": SCHEMA, "command": "z1-alternating",
-        "presentation": p.text(), "degree": degree, "generators": source,
-        "z1": z1, "so_dim": so_dim, "margin": z1 - so_dim,
-    })
+    dim_so = so_dim(degree - 1)
+    _emit(
+        args, f"{z1}\n", presentation=p.text(), degree=degree, generators=source,
+        z1=z1, so_dim=dim_so, margin=z1 - dim_so,
+    )
     return 0
 
 
@@ -149,37 +146,34 @@ def _cmd_upper_bound(args) -> int:
         g = parse_classical_group(token)
         dim, rank, label = classical_dim(g), classical_rank(g), str(g)
     bound = upper_bound(p, dim, rank)
-    _emit(args, f"{bound}\n", {
-        "schema": SCHEMA, "command": "upper-bound",
-        "presentation": p.text(), "group": label,
-        "dim": dim, "rank": rank, "bound": str(bound),
-    })
+    _emit(
+        args, f"{bound}\n", presentation=p.text(), group=label,
+        dim=dim, rank=rank, bound=str(bound),
+    )
     return 0
 
 
 def _reason_fields(verdict: DensityVerdict) -> tuple[str, dict]:
+    """Text and JSON forms of a verdict's reason, both led by its kind."""
     reason = verdict.reason
-    if isinstance(reason, GenusPositive):
-        return "GenusPositive", {"kind": "GenusPositive"}
-    if isinstance(reason, ExceptionalSet):
-        return "ExceptionalSet", {"kind": "ExceptionalSet"}
+    kind = type(reason).__name__
+    if isinstance(reason, (GenusPositive, ExceptionalSet)):
+        return kind, {"kind": kind}
     if isinstance(reason, TriangleWitness):
-        angles = ",".join(str(a) for a in reason.angles)
-        return f"TriangleWitness a=({angles})", {
-            "kind": "TriangleWitness", "angles": list(reason.angles),
+        return f"{kind} a=({_csv(reason.angles)})", {
+            "kind": kind, "angles": list(reason.angles),
         }
     if isinstance(reason, IndexTwoRealization):
-        return f"IndexTwoRealization parent={reason.parent.text()}", {
-            "kind": "IndexTwoRealization", "parent": reason.parent.text(),
+        return f"{kind} parent={reason.parent.text()}", {
+            "kind": kind, "parent": reason.parent.text(),
         }
     if not isinstance(reason, InductiveReduction):
         raise TypeError(f"unknown density reason {reason!r}")
-    retained = ",".join(str(d) for d in reason.retained)
-    split = ",".join(str(d) for d in reason.split)
     return (
-        f"InductiveReduction retained=({retained}) split=({split}) d={reason.auxiliary}",
+        f"{kind} retained=({_csv(reason.retained)}) split=({_csv(reason.split)})"
+        f" d={reason.auxiliary}",
         {
-            "kind": "InductiveReduction",
+            "kind": kind,
             "retained": list(reason.retained),
             "split": list(reason.split),
             "auxiliary": reason.auxiliary,
@@ -190,114 +184,101 @@ def _reason_fields(verdict: DensityVerdict) -> tuple[str, dict]:
 def _cmd_density(args) -> int:
     p = parse_presentation(args.presentation)
     verdict = is_so3_dense(p)
-    reason_text, reason_obj = _reason_fields(verdict)
+    reason_text, reason = _reason_fields(verdict)
     text = ("dense " if verdict.dense else "not-dense ") + reason_text + "\n"
+    note = {}
     if verdict.note:
         text += f"note: {verdict.note}\n"
-    obj = {
-        "schema": SCHEMA, "command": "density", "presentation": p.text(),
-        "dense": verdict.dense, "reason": reason_obj,
-    }
-    if verdict.note:
-        obj["note"] = verdict.note
-    _emit(args, text, obj)
+        note["note"] = verdict.note
+    _emit(args, text, presentation=p.text(), dense=verdict.dense, reason=reason, **note)
     return 0
 
 
 def _cmd_triangle_witness(args) -> int:
-    witness = triangle_witness(args.d1, args.d2, args.d3, strict=not args.non_strict)
+    strict = not args.non_strict
+    witness = triangle_witness(args.d1, args.d2, args.d3, strict=strict)
     found = witness is not None
-    text = ",".join(str(a) for a in witness) + "\n" if found else "none\n"
-    _emit(args, text, {
-        "schema": SCHEMA, "command": "triangle-witness",
-        "triple": [args.d1, args.d2, args.d3], "strict": not args.non_strict,
-        "witness": list(witness) if found else None,
-    })
+    _emit(
+        args, (_csv(witness) if found else "none") + "\n",
+        triple=[args.d1, args.d2, args.d3], strict=strict,
+        witness=list(witness) if found else None,
+    )
     return 0 if found else 1
 
 
 def _cmd_scan_triples(args) -> int:
     failures = scan_hyperbolic_triples(args.dmax)
-    text = "".join(",".join(str(d) for d in t) + "\n" for t in failures)
-    _emit(args, text, {
-        "schema": SCHEMA, "command": "scan-triples", "dmax": args.dmax,
-        "no_strict_witness": [list(t) for t in failures],
-    })
+    _emit(
+        args, "".join(_csv(t) + "\n" for t in failures),
+        dmax=args.dmax, no_strict_witness=[list(t) for t in failures],
+    )
     return 0
 
 
 def _cmd_interval(args) -> int:
     value = interval_coprime(args.d, args.case)
     found = value is not None
-    _emit(args, (f"{value}\n" if found else "none\n"), {
-        "schema": SCHEMA, "command": "interval",
-        "d": args.d, "case": args.case, "a": value,
-    })
+    _emit(args, f"{value}\n" if found else "none\n", d=args.d, case=args.case, a=value)
     return 0 if found else 1
 
 
+def _flag(b: bool) -> str:
+    return "ok" if b else "FAIL"
+
+
 def _cmd_verify_appendix(args) -> int:
-    entries = [entry_by_label(args.entry)] if args.entry else list(APPENDIX_ENTRIES)
+    entries = [entry_by_label(args.entry)] if args.entry else APPENDIX_ENTRIES
     reports = [verify_appendix_entry(e) for e in entries]
-    flag = lambda b: "ok" if b else "FAIL"  # noqa: E731
-    lines = []
-    for r in reports:
-        lines.append(
-            f"{r.label} product={flag(r.product_is_identity)}"
-            f" orders={flag(all(r.order_matches))}"
-            f" parity={flag(all(r.all_even))}"
-            f" alternating={flag(r.generates_alternating)}"
-            f" z1={r.z1_dim} so_dim={r.so_dim} margin={r.margin}"
-            f" positive={flag(r.margin_positive)}"
-        )
     all_ok = all(r.ok for r in reports)
+    lines = [
+        f"{r.label} product={_flag(r.product_is_identity)}"
+        f" orders={_flag(all(r.order_matches))}"
+        f" parity={_flag(all(r.all_even))}"
+        f" alternating={_flag(r.generates_alternating)}"
+        f" z1={r.z1_dim} so_dim={r.so_dim} margin={r.margin}"
+        f" positive={_flag(r.margin_positive)}"
+        for r in reports
+    ]
     lines.append("all ok" if all_ok else "FAILED")
-    obj = {
-        "schema": SCHEMA, "command": "verify-appendix",
-        "entries": [
-            {
-                "label": r.label,
-                "product_is_identity": r.product_is_identity,
-                "order_matches": list(r.order_matches),
-                "all_even": list(r.all_even),
-                "generates_alternating": r.generates_alternating,
-                "z1": r.z1_dim, "so_dim": r.so_dim,
-                "margin": r.margin, "margin_positive": r.margin_positive,
-                "ok": r.ok,
-            }
-            for r in reports
-        ],
-        "ok": all_ok,
-    }
-    _emit(args, "\n".join(lines) + "\n", obj)
+    records = [
+        {
+            "label": r.label,
+            "product_is_identity": r.product_is_identity,
+            "order_matches": list(r.order_matches),
+            "all_even": list(r.all_even),
+            "generates_alternating": r.generates_alternating,
+            "z1": r.z1_dim, "so_dim": r.so_dim,
+            "margin": r.margin, "margin_positive": r.margin_positive,
+            "ok": r.ok,
+        }
+        for r in reports
+    ]
+    _emit(args, "\n".join(lines) + "\n", entries=records, ok=all_ok)
     return 0 if all_ok else 1
 
 
 def _cmd_tables(args) -> int:
-    if args.table == "defect":
-        table = defect_table()
-    elif args.table == "tminusdim":
-        table = tminusdim_table()
-    else:
+    if args.table == "genus0":
         if args.m is None:
             raise ValueError("tables genus0 requires --m")
         values = genus0_all2_values(args.m)
-        labels = ("A1", "E6", "E7", "E8", "F4", "G2")
-        text = "  ".join(f"{c}={v}" for c, v in zip(labels, values)) + "\n"
-        _emit(args, text, {
-            "schema": SCHEMA, "command": "tables", "table": "genus0",
-            "m": args.m, "cols": list(labels), "values": list(values),
-        })
+        text = "  ".join(f"{c}={v}" for c, v in zip(COLUMNS, values)) + "\n"
+        _emit(args, text, table="genus0", m=args.m, cols=list(COLUMNS), values=list(values))
         return 0
-    obj = table_json_obj(table)
-    obj = {"schema": SCHEMA, "command": "tables", **obj}
-    _emit(args, render_table_text(table), obj)
+    table = defect_table() if args.table == "defect" else tminusdim_table()
+    _emit(args, render_table_text(table), **table_json_obj(table))
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
+
+    def leaf(group, name: str, func, help: str) -> argparse.ArgumentParser:
+        s = group.add_parser(name, parents=[fmt], help=help)
+        # the command name is the parser path below the program, hyphen-joined
+        s.set_defaults(func=func, name=s.prog.split(" ", 1)[1].replace(" ", "-"))
+        return s
 
     parser = argparse.ArgumentParser(
         prog="repvar",
@@ -306,59 +287,48 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("euler", parents=[fmt], help="Euler characteristic of a signature")
+    s = leaf(sub, "euler", _cmd_euler, "Euler characteristic of a signature")
     s.add_argument("presentation")
-    s.set_defaults(func=_cmd_euler)
 
-    s = sub.add_parser("validate", parents=[fmt], help="check a signature is hyperbolic")
+    s = leaf(sub, "validate", _cmd_validate, "check a signature is hyperbolic")
     s.add_argument("presentation")
-    s.set_defaults(func=_cmd_validate)
 
     z1 = sub.add_parser("z1", help="cocycle-space dimensions")
     z1_sub = z1.add_subparsers(dest="z1_command", required=True)
-    s = z1_sub.add_parser("principal", parents=[fmt], help="principal representation")
+    s = leaf(z1_sub, "principal", _cmd_z1_principal, "principal representation")
     s.add_argument("presentation")
     s.add_argument("root_system")
-    s.set_defaults(func=_cmd_z1_principal)
-    s = z1_sub.add_parser("alternating", parents=[fmt], help="alternating image in SO(N-1)")
+    s = leaf(z1_sub, "alternating", _cmd_z1_alternating, "alternating image in SO(N-1)")
     s.add_argument("presentation")
     s.add_argument("--degree", type=int, required=True)
     s.add_argument("--triple", help="file in the gamma=...;degree=... triple format")
-    s.set_defaults(func=_cmd_z1_alternating)
 
-    s = sub.add_parser("upper-bound", parents=[fmt], help="cocycle dimension upper bound")
+    s = leaf(sub, "upper-bound", _cmd_upper_bound, "cocycle dimension upper bound")
     s.add_argument("presentation")
     s.add_argument("group", help="root system (E8) or classical group (SO(13))")
-    s.set_defaults(func=_cmd_upper_bound)
 
-    s = sub.add_parser("density", parents=[fmt], help="SO(3)-density classification")
+    s = leaf(sub, "density", _cmd_density, "SO(3)-density classification")
     s.add_argument("presentation")
-    s.set_defaults(func=_cmd_density)
 
-    s = sub.add_parser("triangle-witness", parents=[fmt], help="coprime rotation angles")
+    s = leaf(sub, "triangle-witness", _cmd_triangle_witness, "coprime rotation angles")
     s.add_argument("d1", type=int)
     s.add_argument("d2", type=int)
     s.add_argument("d3", type=int)
     s.add_argument("--non-strict", action="store_true")
-    s.set_defaults(func=_cmd_triangle_witness)
 
-    s = sub.add_parser("scan-triples", parents=[fmt], help="triples with no strict witness")
+    s = leaf(sub, "scan-triples", _cmd_scan_triples, "triples with no strict witness")
     s.add_argument("--dmax", type=int, required=True)
-    s.set_defaults(func=_cmd_scan_triples)
 
-    s = sub.add_parser("interval", parents=[fmt], help="coprime interval representative")
+    s = leaf(sub, "interval", _cmd_interval, "coprime interval representative")
     s.add_argument("d", type=int)
     s.add_argument("--case", type=int, choices=(1, 2, 3), required=True)
-    s.set_defaults(func=_cmd_interval)
 
-    s = sub.add_parser("verify-appendix", parents=[fmt], help="certify the shipped triples")
+    s = leaf(sub, "verify-appendix", _cmd_verify_appendix, "certify the shipped triples")
     s.add_argument("--entry", help="label like 2,4,6 (default: all six)")
-    s.set_defaults(func=_cmd_verify_appendix)
 
-    s = sub.add_parser("tables", parents=[fmt], help="reproduce the numeric tables")
+    s = leaf(sub, "tables", _cmd_tables, "reproduce the numeric tables")
     s.add_argument("table", choices=("defect", "tminusdim", "genus0"))
     s.add_argument("--m", type=int, help="period count for the genus0 table")
-    s.set_defaults(func=_cmd_tables)
 
     return parser
 
@@ -372,7 +342,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SignatureError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -26,7 +26,7 @@ from .eigen import (
     exterior_square_fixed_dim,
     principal_fixed_dim,
 )
-from .liedata import RootSystem, dimension, exponents
+from .liedata import RootSystem, dimension, so_dim
 from .presentation import FuchsianPresentation
 
 
@@ -146,8 +146,7 @@ def z1_dim_alternating_so(
             f"generator orders {sorted(d for d, _ in pairs)} do not match "
             f"periods {list(p.periods)}"
         )
-    dim_v = (degree - 1) * (degree - 2) // 2
-    return z1_dim(p, TorsionFixedData(tuple(pairs), dim_v, 0))
+    return z1_dim(p, TorsionFixedData(tuple(pairs), so_dim(degree - 1), 0))
 
 
 def upper_bound(p: FuchsianPresentation, dim_g: int, rank: int) -> Fraction:
@@ -175,14 +174,12 @@ def density_criterion_compare(t_g: int, dim_g: int, t_h: int, dim_h: int) -> boo
 def exceptional_inequality(p: FuchsianPresentation, rs: RootSystem) -> bool:
     """Rewritten form of t_G - dim G > t_SO(3) - dim SO(3) for principal data.
 
-    Evaluates (2g - 2 + m)(dim G - 3) - sum_j sum_{e in E} (1 + 2 floor(e/d_j))
-    where E is the exponent list with the single exponent 1 removed (that
-    exponent is SO(3)'s and contributes exactly the SO(3) term for every
-    period).  Agrees with ``density_criterion_compare`` fed by
-    ``z1_dim_principal`` against the A1 data.
+    Evaluates (2g - 2 + m)(dim G - 3) - sum_j (principal_fixed_dim(d_j) - 1):
+    the exponent 1 is SO(3)'s and contributes exactly 1 to every fixed
+    dimension (periods are >= 2), which is the SO(3) term that drops out.
+    Agrees with ``density_criterion_compare`` fed by ``z1_dim_principal``
+    against the A1 data.
     """
-    exps = list(exponents(rs))
-    exps.remove(1)
     total = (2 * p.genus - 2 + p.m) * (dimension(rs) - 3)
-    total -= sum(1 + 2 * (e // d) for d in p.periods for e in exps)
+    total -= sum(principal_fixed_dim(rs, d) - 1 for d in p.periods)
     return total > 0

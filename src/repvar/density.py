@@ -30,11 +30,6 @@ EXCEPTIONAL_SIGNATURES = frozenset(
     {(2, 4, 6), (2, 6, 6), (3, 4, 4), (3, 6, 6), (2, 6, 10), (4, 6, 12)}
 )
 
-# the strict witness search fails exactly here; (3,4,4) is absent
-WITNESS_EXCEPTIONS = frozenset(
-    {(2, 4, 6), (2, 6, 6), (2, 6, 10), (3, 6, 6), (4, 6, 12)}
-)
-
 # triples whose periods fit inside the octahedral or icosahedral groups
 _SHADOWED_TRIPLES = frozenset(
     {(2, 5, 5), (3, 3, 4), (3, 3, 5), (3, 4, 4), (3, 5, 5), (4, 4, 4), (5, 5, 5)}

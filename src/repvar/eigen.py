@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .liedata import RootSystem, exponents
@@ -220,16 +219,6 @@ def exterior_square_fixed_dim(p: EigenProfile) -> int:
     for j in range(1, (d + 1) // 2):
         total += m[j] * m[d - j]
     return total
-
-
-def multiplicity_deviations(p: EigenProfile) -> tuple[Fraction, ...]:
-    """Exact deviation |m_j - dim/order| of each multiplicity from balance.
-
-    No bound is asserted: the deviations are reported as exact rationals and
-    callers decide what counts as close to the balanced value dim/order.
-    """
-    target = Fraction(p.dim, p.order)
-    return tuple(abs(m - target) for m in p.multiplicities)
 
 
 def su_centralizer_dim(p: EigenProfile) -> int:

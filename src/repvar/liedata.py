@@ -101,10 +101,15 @@ class ClassicalGroup:
         return f"{self.kind}({self.n})"
 
 
+def so_dim(n: int) -> int:
+    """dim SO(n) = n(n-1)/2, total on every integer so broken input still reports."""
+    return n * (n - 1) // 2
+
+
 def classical_dim(g: ClassicalGroup) -> int:
     """dim SO(n) = n(n-1)/2, dim SU(n) = n^2 - 1."""
     if g.kind == "SO":
-        return g.n * (g.n - 1) // 2
+        return so_dim(g.n)
     return g.n * g.n - 1
 
 

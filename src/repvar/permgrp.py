@@ -40,6 +40,7 @@ from .eigen import (
     perm_order,
     perm_parity,
 )
+from .liedata import so_dim
 from .presentation import FuchsianPresentation
 
 _Images = tuple[int, ...]  # 0-based: images[i] is the image of point i
@@ -222,12 +223,15 @@ def group_order(gens: Sequence[Permutation]) -> int:
 
 
 def generates_alternating(gens: Sequence[Permutation], n: int) -> bool:
-    """True iff all generators are even, of degree n, and generate all of A_n."""
+    """True iff all generators are even, of degree n, and generate all of A_n.
+
+    |A_n| = n!/2 for n >= 2; A_0 and A_1 are trivial, of order 1.
+    """
     if any(g.degree != n for g in gens):
         raise DegreeMismatchError(f"generators must have degree {n}")
     if any(perm_parity(g) == "odd" for g in gens):
         return False
-    return group_order(gens) == factorial(n) // 2
+    return group_order(gens) == max(1, factorial(n) // 2)
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,6 @@ def verify_appendix_entry(entry: AppendixEntry) -> AppendixReport:
             z1 = z1_dim_alternating_so(pres, list(entry.generators), entry.degree)
         except ValueError:
             z1 = 0
-    so_dim = (entry.degree - 1) * (entry.degree - 2) // 2
     return AppendixReport(
         label=entry.label,
         product_is_identity=product.is_identity(),
@@ -312,7 +315,7 @@ def verify_appendix_entry(entry: AppendixEntry) -> AppendixReport:
         all_even=even,
         generates_alternating=gen_alt,
         z1_dim=z1,
-        so_dim=so_dim,
+        so_dim=so_dim(entry.degree - 1),
     )
 
 
@@ -342,9 +345,7 @@ def parse_entry_text(text: str) -> AppendixEntry:
         raise ValueError(f"bad header {header!r}") from None
     if len(periods) != 3:
         raise ValueError("entries carry exactly three periods")
-    perms = tuple(perm_from_cycles(line, degree) for line in lines[1:])
-    label = "%d,%d,%d" % periods
-    return AppendixEntry(label, periods, degree, *perms)
+    return _entry(periods, degree, *lines[1:])
 
 
 def _entry(periods: tuple[int, int, int], degree: int, c1: str, c2: str, c3: str) -> AppendixEntry:

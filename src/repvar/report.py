@@ -12,10 +12,12 @@ from fractions import Fraction
 
 from .cocycle import z1_dim_principal
 from .eigen import principal_fixed_dim
-from .liedata import RootSystem, dimension, exponents, parse_root_system
+from .liedata import RootSystem, dimension, parse_root_system
 from .presentation import FuchsianPresentation
 
 COLUMNS = ("A1", "E6", "E7", "E8", "F4", "G2")
+
+SCHEMA = 1  # version of every JSON object the package prints
 
 TMINUSDIM_ROWS = ((2, 2, 2, 3), (2, 3, 7), (2, 4, 5), (3, 3, 4))
 
@@ -36,24 +38,18 @@ def _column_systems() -> tuple[RootSystem, ...]:
 
 
 def defect_table() -> Table:
-    """Per-order defect sum_i ((1 + 2 floor(e_i/n)) - (2 e_i + 1)/n), n = 2..7.
+    """Per-order defect: the fixed dimension of an order-n principal image
+    minus dim G / n, n = 2..7.
 
-    Equivalently the fixed dimension of an order-n principal image minus
-    dim G / n, regrouped exponent by exponent.
+    Since dim G = sum_i (2 e_i + 1), this is sum_i ((1 + 2 floor(e_i/n)) -
+    (2 e_i + 1)/n) over the exponents.
     """
     systems = _column_systems()
-    rows = []
-    for n in range(2, 8):
-        rows.append(
-            tuple(
-                sum(
-                    Fraction(1 + 2 * (e // n)) - Fraction(2 * e + 1, n)
-                    for e in exponents(rs)
-                )
-                for rs in systems
-            )
-        )
-    return Table("defect", tuple(str(n) for n in range(2, 8)), COLUMNS, tuple(rows))
+    rows = tuple(
+        tuple(principal_fixed_dim(rs, n) - Fraction(dimension(rs), n) for rs in systems)
+        for n in range(2, 8)
+    )
+    return Table("defect", tuple(str(n) for n in range(2, 8)), COLUMNS, rows)
 
 
 def tminusdim_table() -> Table:
@@ -107,7 +103,7 @@ def render_table_text(table: Table) -> str:
 
 def table_json_obj(table: Table) -> dict:
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "table": table.name,
         "rows": list(table.row_labels),
         "cols": list(table.col_labels),

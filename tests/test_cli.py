@@ -1,7 +1,12 @@
+import io
 import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import PAPER_TMINUSDIM_TABLE
 from repvar.cli import dump_json, main
@@ -185,6 +190,64 @@ def test_usage_errors(capsys):
     for argv in (["triangle-witness", "0", "3", "7"], ["triangle-witness", "--", "-3", "3", "7"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run(capsys, "verify-appendix", "--entry", "x")
+    assert (code, out, err) == (2, "", "error: no appendix entry labelled 'x'\n")
+
+
+_INTS = st.integers(-3, 30).map(str)
+_PERIODS = st.one_of(st.integers(2, 12), st.integers(-3, 30))  # mostly valid
+_SIGNATURES = st.one_of(
+    st.builds(
+        lambda g, periods: f"g={g};d=" + ",".join(map(str, periods)),
+        st.integers(-1, 3), st.lists(_PERIODS, max_size=5),
+    ),
+    st.sampled_from(["", "junk", "g=x;d=2,3", "g=0;d=2,,3", "g=0", "g=0;d=a", "d=2;g=0"]),
+)
+_GROUPS = st.one_of(
+    st.sampled_from(["A1", "A7", "B3", "C2", "D3", "D5", "E6", "E7", "E8", "F4", "G2"]),
+    st.builds("{}({})".format, st.sampled_from(["SO", "SU"]), st.integers(-3, 30)),
+    st.sampled_from(["", "Q8", "A0", "B1", "D2", "E9", "SO(x)", "so(3)", "SU()"]),
+)
+_LEAF_ARGVS = st.one_of(
+    st.tuples(st.just("euler"), _SIGNATURES),
+    st.tuples(st.just("validate"), _SIGNATURES),
+    st.tuples(st.just("z1"), st.just("principal"), _SIGNATURES, _GROUPS),
+    st.tuples(
+        st.just("z1"), st.just("alternating"), _SIGNATURES, st.just("--degree"), _INTS,
+    ),
+    st.tuples(st.just("upper-bound"), _SIGNATURES, _GROUPS),
+    st.tuples(st.just("density"), _SIGNATURES),
+    st.builds(
+        lambda d, strict: ("triangle-witness", *d) + (() if strict else ("--non-strict",)),
+        st.tuples(_INTS, _INTS, _INTS), st.booleans(),
+    ),
+    st.tuples(st.just("scan-triples"), st.just("--dmax"), st.integers(-3, 14).map(str)),
+    st.tuples(st.just("interval"), _INTS, st.just("--case"), st.sampled_from("01234")),
+    st.one_of(
+        st.just(("verify-appendix",)),
+        st.tuples(
+            st.just("verify-appendix"), st.just("--entry"),
+            st.sampled_from(["2,4,6", "3,4,4", "4,6,12", "2,3,7", "x", "", " 2,6,10 "]),
+        ),
+    ),
+    st.tuples(st.just("tables"), st.sampled_from(["defect", "tminusdim", "genus0", "bogus"])),
+    st.tuples(st.just("tables"), st.just("genus0"), st.just("--m"), _INTS),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(argv=_LEAF_ARGVS, fmt=st.sampled_from(["text", "json"]))
+def test_exit_code_contract(argv, fmt):
+    # 0 result, 1 negative answer, 2 bad input; never an escaping exception
+    argv = [*argv, "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv
+    elif fmt == "json":
+        assert dump_json(json.loads(out.getvalue())) == out.getvalue(), argv
 
 
 def test_output_survives_optimize_flag():

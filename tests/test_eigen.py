@@ -13,7 +13,6 @@ from repvar.eigen import (
     cycles_text,
     exterior_square_fixed_dim,
     identity_perm,
-    multiplicity_deviations,
     perm_compose,
     perm_from_cycles,
     perm_inverse,
@@ -119,6 +118,9 @@ def test_perm_std_eigenprofile_examples():
     assert (p.order, p.multiplicities) == (3, (0, 1, 1))
     p = perm_std_eigenprofile(perm_from_cycles("(1 2)(3 4)", 4))
     assert (p.order, p.multiplicities) == (2, (1, 2))
+    # the balanced involution: six 2-cycles and two fixed points on 14 points
+    p = cycle_type_std_eigenprofile(balanced_class(14, 2))
+    assert (p.order, p.multiplicities) == (2, (7, 6))
     # total multiplicity is degree - 1
     for text, degree in (("(1 2 3)(4 5)", 7), ("(1 4)(2 5)(3 6)", 9)):
         x = perm_from_cycles(text, degree)
@@ -181,16 +183,6 @@ def test_centralizer_fix_bounds_on_principal_images():
             fix = principal_fixed_dim(rs, d)
             assert fix >= Fraction(dim, d) - rank
             assert fix >= Fraction(dim, d) - Fraction(3, 2) * rank
-
-
-def test_multiplicity_deviations_are_exact():
-    # six 2-cycles plus two fixed points on 14 points: standard profile is
-    # (7, 6), balanced target 13/2, so both residues deviate by exactly 1/2
-    profile = cycle_type_std_eigenprofile(balanced_class(14, 2))
-    assert profile.multiplicities == (7, 6)
-    assert multiplicity_deviations(profile) == (Fraction(1, 2), Fraction(1, 2))
-    ident = EigenProfile(1, (9,))
-    assert multiplicity_deviations(ident) == (Fraction(0),)
 
 
 def test_balanced_class_examples():

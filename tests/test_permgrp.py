@@ -75,6 +75,9 @@ def test_generates_alternating():
     assert not generates_alternating([perm_from_cycles("(1 2 3)", 4)], 4)
     # odd generators can never generate an alternating group
     assert not generates_alternating([perm_from_cycles("(1 2)", 4)], 4)
+    # A_1 and A_2 are trivial, so the identity generates them
+    assert generates_alternating([Permutation((1,))], 1)
+    assert generates_alternating([identity_perm(2)], 2)
     with pytest.raises(DegreeMismatchError):
         generates_alternating([identity_perm(5)], 4)
 
@@ -229,6 +232,14 @@ def test_broken_entry_reports_false_flags():
     assert not report.product_is_identity
     assert report.order_matches == (True, True, False)
     assert not report.ok
+    # degrees 1 and 2 have dim SO(degree - 1) = 0 and a trivial A_n; the
+    # report still comes back, with the failure in its flags
+    for degree in (1, 2):
+        entry = parse_entry_text(f"gamma=1,1,1;degree={degree}\n()\n()\n()\n")
+        report = verify_appendix_entry(entry)
+        assert (report.so_dim, report.z1_dim, report.margin) == (0, 0, 0)
+        assert report.generates_alternating and not report.margin_positive
+        assert not report.ok
 
 
 def test_entry_serialization_round_trip():

@@ -10,7 +10,7 @@ from fixtures import (
 from repvar import report
 from repvar.cocycle import density_criterion_compare, z1_dim_principal
 from repvar.eigen import principal_fixed_dim
-from repvar.liedata import dimension, parse_root_system
+from repvar.liedata import dimension, exponents, parse_root_system
 from repvar.presentation import FuchsianPresentation
 from repvar.report import (
     COLUMNS,
@@ -36,7 +36,12 @@ def test_defect_cells_equal_fix_minus_dim_over_n():
         for j, label in enumerate(COLUMNS):
             rs = parse_root_system(label)
             regrouped = principal_fixed_dim(rs, n) - Fraction(dimension(rs), n)
-            assert table.cells[i][j] == regrouped
+            # the same defect summed exponent by exponent, without the fixed
+            # dimension or dim G: sum_e (1 + 2 floor(e/n)) - (2e + 1)/n
+            per_exponent = sum(
+                Fraction(1 + 2 * (e // n)) - Fraction(2 * e + 1, n) for e in exponents(rs)
+            )
+            assert table.cells[i][j] == regrouped == per_exponent
 
 
 def test_tminusdim_table_matches_printed_values():
