@@ -30,6 +30,8 @@ EXCEPTIONAL_SIGNATURES = frozenset(
     {(2, 4, 6), (2, 6, 6), (3, 4, 4), (3, 6, 6), (2, 6, 10), (4, 6, 12)}
 )
 
+MAX_SCAN_DMAX = 200  # the scan's cost grows like dmax^3.2; 200 takes 13-17 s on 2 vCPUs
+
 # triples whose periods fit inside the octahedral or icosahedral groups
 _SHADOWED_TRIPLES = frozenset(
     {(2, 5, 5), (3, 3, 4), (3, 3, 5), (3, 4, 4), (3, 5, 5), (4, 4, 4), (5, 5, 5)}
@@ -90,12 +92,6 @@ def strict_triangle(q1: Fraction, q2: Fraction, q3: Fraction) -> bool:
     return q1 < q2 + q3 and q2 < q1 + q3 and q3 < q1 + q2
 
 
-def _triangle(q1: Fraction, q2: Fraction, q3: Fraction, strict: bool) -> bool:
-    if strict:
-        return strict_triangle(q1, q2, q3)
-    return q1 <= q2 + q3 and q2 <= q1 + q3 and q3 <= q1 + q2
-
-
 def triangle_witness(
     d1: int, d2: int, d3: int, strict: bool = True
 ) -> Optional[tuple[int, int, int]]:
@@ -108,20 +104,44 @@ def triangle_witness(
     """
     if min(d1, d2, d3) < 2:
         raise BadPeriodError(f"periods must be >= 2, got {min(d1, d2, d3)}")
-    if sum(Fraction(1, d) for d in (d1, d2, d3)) >= 1:
+    if not _is_hyperbolic(d1, d2, d3):
         raise ValueError(f"({d1},{d2},{d3}) is not a hyperbolic triple")
     for a1 in _coprime_numerators(d1):
-        q1 = Fraction(a1, d1)
         for a2 in _coprime_numerators(d2):
-            q2 = Fraction(a2, d2)
-            for a3 in _coprime_numerators(d3):
-                if _triangle(q1, q2, Fraction(a3, d3), strict):
-                    return (a1, a2, a3)
+            # the triangle inequality says |q1 - q2| < q3 < q1 + q2 (<= if not strict)
+            x, y = a1 * d2, a2 * d1
+            a3 = coprime_in_interval(d3, abs(x - y), d1 * d2, x + y, d1 * d2, strict)
+            if a3 is not None:
+                return (a1, a2, a3)
     return None
+
+
+def coprime_in_interval(
+    d: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int, strict: bool
+) -> Optional[int]:
+    """Least a with 1 <= a <= d // 2, gcd(a, d) = 1 and lo < a/d < hi, or None.
+
+    lo = lo_num/lo_den, hi = hi_num/hi_den (positive denominators); the
+    bounds themselves are allowed when not strict.
+    """
+    if strict:
+        first, last = lo_num * d // lo_den + 1, (hi_num * d - 1) // hi_den
+    else:
+        first, last = -(-lo_num * d // lo_den), hi_num * d // hi_den
+    candidates = range(max(first, 1), min(last, d // 2) + 1)
+    return next((a for a in candidates if gcd(a, d) == 1), None)
+
+
+def _is_hyperbolic(d1: int, d2: int, d3: int) -> bool:
+    return d1 * d2 + d1 * d3 + d2 * d3 < d1 * d2 * d3  # 1/d1 + 1/d2 + 1/d3 < 1
 
 
 def _coprime_numerators(d: int) -> list[int]:
     return [a for a in range(1, d // 2 + 1) if gcd(a, d) == 1]
+
+
+# per case: the interval (lo_num/lo_den, hi_num/hi_den) and the d whose a/d may equal a bound
+_CASE_BOUNDS = {1: (1, 4, 1, 2, {2, 4}), 2: (1, 3, 1, 2, {2, 3}), 3: (1, 12, 4, 15, {12})}
 
 
 def interval_coprime(d: int, case: int) -> Optional[int]:
@@ -137,7 +157,7 @@ def interval_coprime(d: int, case: int) -> Optional[int]:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if case not in (1, 2, 3):
+    if case not in _CASE_BOUNDS:
         raise ValueError("case must be 1, 2 or 3")
     if case in (1, 2):
         if d == 2 or (case == 2 and d == 3):
@@ -146,9 +166,12 @@ def interval_coprime(d: int, case: int) -> Optional[int]:
             a = _case12_formula(d)
     else:
         a = 1 if d == 6 else _case3_formula(d)
-    if a is None or a < 1 or gcd(a, d) != 1 or not _in_case_interval(a, d, case):
+    if a is None or a < 1 or gcd(a, d) != 1:
         return None
-    return a
+    lo_num, lo_den, hi_num, hi_den, boundary_ds = _CASE_BOUNDS[case]
+    above, below = a * lo_den - lo_num * d, hi_num * d - a * hi_den
+    inside = min(above, below) > 0 or (min(above, below) == 0 and d in boundary_ds)
+    return a if inside else None
 
 
 def _case12_formula(d: int) -> int:
@@ -177,40 +200,25 @@ def _case3_formula(d: int) -> Optional[int]:
     return (d - b) // 6
 
 
-def _in_case_interval(a: int, d: int, case: int) -> bool:
-    q = Fraction(a, d)
-    if case == 1:
-        lo, hi, boundary_ds = Fraction(1, 4), Fraction(1, 2), {2, 4}
-    elif case == 2:
-        lo, hi, boundary_ds = Fraction(1, 3), Fraction(1, 2), {2, 3}
-    else:
-        lo, hi, boundary_ds = Fraction(1, 12), Fraction(4, 15), {12}
-    if lo < q < hi:
-        return True
-    return q in (lo, hi) and d in boundary_ds
-
-
 def scan_hyperbolic_triples(dmax: int) -> list[tuple[int, int, int]]:
     """All hyperbolic d1 <= d2 <= d3 <= dmax with no strict witness, sorted."""
     if dmax < 7:
         raise ValueError("dmax must be >= 7")
-    failures = []
-    for d3 in range(2, dmax + 1):
-        for d2 in range(2, d3 + 1):
-            for d1 in range(2, d2 + 1):
-                if Fraction(1, d1) + Fraction(1, d2) + Fraction(1, d3) >= 1:
-                    continue
-                if triangle_witness(d1, d2, d3, strict=True) is None:
-                    failures.append((d1, d2, d3))
-    return sorted(failures)
+    if dmax > MAX_SCAN_DMAX:
+        raise ValueError(f"dmax must be <= {MAX_SCAN_DMAX}")
+    return sorted(
+        (d1, d2, d3)
+        for d3 in range(2, dmax + 1)
+        for d2 in range(2, d3 + 1)
+        for d1 in range(2, d2 + 1)
+        if _is_hyperbolic(d1, d2, d3) and triangle_witness(d1, d2, d3, strict=True) is None
+    )
 
 
 def _index_two_parent(triple: tuple[int, int, int]) -> FuchsianPresentation:
     """Parent (2, 2a, b) realizing the (a, b, b) group as an index-2 subgroup."""
     x, y, z = triple
-    if x == y == z:
-        a = b = x
-    elif y == z:
+    if y == z:
         a, b = x, y
     elif x == y:
         a, b = z, x
@@ -228,23 +236,15 @@ def _reduction_step(periods: tuple[int, ...]) -> InductiveReduction:
     which is fine since density then rides on the other part.
     """
     split_pair = periods[-2:]
-    parts = []
-    if split_pair != (2, 2):
-        parts.append(split_pair)
-    if len(periods) == 4 and periods[:2] != (2, 2):
-        parts.append(periods[:2])
-    aux = 7
-    while not all(
-        triangle_witness(pair[0], pair[1], aux, strict=True) is not None
-        for pair in parts
-    ):
-        aux += 1
-        if aux > 1000:  # paper: any sufficiently large d works
-            raise AssertionError(f"no auxiliary period found for {periods}")
+    candidates = [split_pair, periods[:2]] if len(periods) == 4 else [split_pair]
+    parts = [pair for pair in candidates if pair != (2, 2)]
+    for aux in range(7, 1001):  # paper: any sufficiently large d works
+        if all(triangle_witness(p, q, aux, strict=True) is not None for p, q in parts):
+            break
+    else:
+        raise ArithmeticError(f"no auxiliary period found for {periods}")
     return InductiveReduction(
-        retained=periods[:-2] + (aux,),
-        split=(split_pair[0], split_pair[1], aux),
-        auxiliary=aux,
+        retained=periods[:-2] + (aux,), split=split_pair + (aux,), auxiliary=aux
     )
 
 

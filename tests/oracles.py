@@ -4,9 +4,10 @@ Each oracle deliberately takes a different computational route from the
 implementation it cross-checks: fixed spaces on the exterior square go
 through the character average rather than pair counting, group orders go
 through brute-force product closure or sympy's permutation groups rather
-than repvar's stabilizer chain, and interval representatives go through
+than repvar's stabilizer chain, interval representatives go through
 smallest-numerator search with pure integer inequalities rather than the
-closed-form construction.
+closed-form construction, and triangle witnesses go through a plain triple
+loop rather than one interval query per numerator pair.
 """
 
 from __future__ import annotations
@@ -94,6 +95,26 @@ def smallest_interval_numerator(d: int, case: int) -> int | None:
             boundary = (d == 12 * a or 15 * a == 4 * d) and d == 12
         if inside or boundary:
             return a
+    return None
+
+
+def least_triangle_witness(d1: int, d2: int, d3: int, strict: bool) -> tuple[int, int, int] | None:
+    """Lexicographically least coprime (a1, a2, a3) with 0 < a_i <= d_i/2
+    whose fractions a_i/d_i satisfy the triangle inequality, by triple loop.
+
+    Each fraction is scaled to the common denominator d1*d2*d3, so the three
+    inequalities are compared as integers; equality is allowed when not
+    strict.
+    """
+    common = d1 * d2 * d3
+    numerators = [[a for a in range(1, d // 2 + 1) if gcd(a, d) == 1] for d in (d1, d2, d3)]
+    for a1 in numerators[0]:
+        for a2 in numerators[1]:
+            for a3 in numerators[2]:
+                s1, s2, s3 = a1 * (common // d1), a2 * (common // d2), a3 * (common // d3)
+                slacks = (s2 + s3 - s1, s1 + s3 - s2, s1 + s2 - s3)
+                if all(t > 0 if strict else t >= 0 for t in slacks):
+                    return (a1, a2, a3)
     return None
 
 

@@ -192,6 +192,9 @@ def test_usage_errors(capsys):
         assert (code, out) == (2, "") and err.startswith("error: ")
     code, out, err = run(capsys, "verify-appendix", "--entry", "x")
     assert (code, out, err) == (2, "", "error: no appendix entry labelled 'x'\n")
+    # the cubic scan has a stated limit instead of running for minutes
+    code, out, err = run(capsys, "scan-triples", "--dmax", "201")
+    assert (code, out, err) == (2, "", "error: dmax must be <= 200\n")
 
 
 _INTS = st.integers(-3, 30).map(str)

@@ -3,15 +3,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import EXCEPTIONAL_SET, INTERVAL_EXCEPTIONS, WITNESS_FAILURES
-from oracles import smallest_interval_numerator
+from oracles import least_triangle_witness, smallest_interval_numerator
+from repvar import density
 from repvar.density import (
     ExceptionalSet,
     GenusPositive,
     IndexTwoRealization,
     InductiveReduction,
     TriangleWitness,
+    coprime_in_interval,
     interval_coprime,
     is_so3_dense,
     scan_hyperbolic_triples,
@@ -68,6 +72,66 @@ def test_scan_hyperbolic_triples():
     assert set(scan_hyperbolic_triples(24)) == WITNESS_FAILURES
     with pytest.raises(ValueError):
         scan_hyperbolic_triples(6)
+    # the scan is cubic in dmax, so it refuses inputs past its stated limit
+    with pytest.raises(ValueError, match="dmax must be <= 200"):
+        scan_hyperbolic_triples(201)
+
+
+def _hyperbolic(d1, d2, d3):
+    return Fraction(1, d1) + Fraction(1, d2) + Fraction(1, d3) < 1
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    triple=st.tuples(*[st.integers(2, 60)] * 3).filter(lambda t: _hyperbolic(*t)),
+    strict=st.booleans(),
+)
+def test_triangle_witness_matches_oracle(triple, strict):
+    # unsorted periods: the search is lexicographic in the order given
+    assert triangle_witness(*triple, strict=strict) == least_triangle_witness(*triple, strict)
+
+
+def test_triangle_witness_matches_oracle_below_30():
+    count = 0
+    for d1 in range(2, 30):
+        for d2 in range(d1, 30):
+            for d3 in range(d2, 30):
+                if not _hyperbolic(d1, d2, d3):
+                    continue
+                for strict in (True, False):
+                    expected = least_triangle_witness(d1, d2, d3, strict)
+                    assert triangle_witness(d1, d2, d3, strict=strict) == expected
+                    count += 1
+    assert count == 8052  # 4026 hyperbolic triples, two modes each
+
+
+def test_coprime_in_interval_examples():
+    assert coprime_in_interval(7, 1, 4, 1, 2, True) == 2
+    # 1/4 sits on the lower bound, which only the non-strict query admits
+    assert coprime_in_interval(4, 1, 4, 1, 2, True) is None
+    assert coprime_in_interval(4, 1, 4, 1, 2, False) == 1
+    assert coprime_in_interval(7, 0, 1, 1, 1, True) == 1
+    # capped at d // 2: 5/10 is not coprime and 7/10 lies past the cap
+    assert coprime_in_interval(10, 2, 5, 1, 1, True) is None
+    # no integer a has a/7 = 1/3
+    assert coprime_in_interval(7, 1, 3, 1, 3, False) is None
+
+
+# the case intervals of ``interval_coprime`` and the d at which a/d may equal a bound
+_CASE_BOUNDS = {1: (1, 4, 1, 2), 2: (1, 3, 1, 2), 3: (1, 12, 4, 15)}
+_BOUNDARY_DS = {1: {2, 4}, 2: {2, 3}, 3: {12}}
+
+
+def test_coprime_in_interval_matches_interval_oracle():
+    # off the boundary d the strict query is the least valid numerator, and
+    # the closed form comes back empty exactly when the query does
+    for case, bounds in _CASE_BOUNDS.items():
+        for d in range(2, 2001):
+            if d in _BOUNDARY_DS[case]:
+                continue
+            least = coprime_in_interval(d, *bounds, strict=True)
+            assert least == smallest_interval_numerator(d, case), (case, d)
+            assert (interval_coprime(d, case) is None) == (least is None), (case, d)
 
 
 def test_interval_coprime_examples():
@@ -86,6 +150,15 @@ def test_interval_coprime_examples():
         interval_coprime(1, 1)
     with pytest.raises(ValueError):
         interval_coprime(7, 4)
+
+
+def test_interval_coprime_checks_its_closed_form(monkeypatch):
+    # a closed-form value is returned only once checked: 4/15 is coprime but
+    # sits on case 3's upper bound, which only d = 12 may touch
+    monkeypatch.setattr(density, "_case3_formula", lambda d: 4)
+    assert interval_coprime(15, 3) is None
+    assert interval_coprime(13, 3) is None  # 4/13 lies past 4/15
+    assert interval_coprime(17, 3) == 4
 
 
 def test_interval_coprime_agrees_with_search_oracle():
@@ -186,6 +259,25 @@ def test_inductive_reduction_reasons():
     verdict = is_so3_dense(FuchsianPresentation(0, (2, 2, 2, 3)))
     assert verdict.reason.auxiliary == 7
     assert verdict.reason.split == (2, 3, 7)
+
+
+def test_reduction_auxiliary_is_always_seven():
+    # (2, 2, p, q) splits off (p, q) alone, so this pins the auxiliary period
+    # of every pair other than (2, 2) with periods up to 60
+    for p in range(2, 61):
+        for q in range(p, 61):
+            if (p, q) == (2, 2):
+                continue
+            reason = is_so3_dense(FuchsianPresentation(0, (2, 2, p, q))).reason
+            assert isinstance(reason, InductiveReduction)
+            assert (reason.auxiliary, reason.split) == (7, (p, q, 7)), (p, q)
+
+
+def test_reduction_without_auxiliary_raises(monkeypatch):
+    # an exhausted auxiliary search is an explicit error that survives -O
+    monkeypatch.setattr(density, "triangle_witness", lambda *args, **kwargs: None)
+    with pytest.raises(ArithmeticError, match="no auxiliary period"):
+        is_so3_dense(FuchsianPresentation(0, (2, 3, 4, 5)))
 
 
 def test_verdict_consistency():
