@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .presentation import BadPeriodError, FuchsianPresentation
 
@@ -136,8 +136,8 @@ def _is_hyperbolic(d1: int, d2: int, d3: int) -> bool:
     return d1 * d2 + d1 * d3 + d2 * d3 < d1 * d2 * d3  # 1/d1 + 1/d2 + 1/d3 < 1
 
 
-def _coprime_numerators(d: int) -> list[int]:
-    return [a for a in range(1, d // 2 + 1) if gcd(a, d) == 1]
+def _coprime_numerators(d: int) -> Iterator[int]:
+    return (a for a in range(1, d // 2 + 1) if gcd(a, d) == 1)
 
 
 # per case: the interval (lo_num/lo_den, hi_num/hi_den) and the d whose a/d may equal a bound

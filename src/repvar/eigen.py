@@ -103,10 +103,6 @@ class Permutation:
         return cycles_text(self)
 
 
-def identity_perm(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def perm_from_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation, e.g. ``(1 2)(3 4)``; whitespace-tolerant.
 
@@ -157,26 +153,6 @@ def perm_compose(x: Permutation, y: Permutation) -> Permutation:
     if x.degree != y.degree:
         raise DegreeMismatchError(f"degrees {x.degree} and {y.degree} differ")
     return Permutation(tuple(x.images[q - 1] for q in y.images))
-
-
-def perm_inverse(x: Permutation) -> Permutation:
-    inv = [0] * x.degree
-    for i, v in enumerate(x.images):
-        inv[v - 1] = i + 1
-    return Permutation(tuple(inv))
-
-
-def perm_power(x: Permutation, k: int) -> Permutation:
-    if k < 0:
-        return perm_power(perm_inverse(x), -k)
-    result = identity_perm(x.degree)
-    square = x
-    while k:
-        if k & 1:
-            result = perm_compose(square, result)
-        square = perm_compose(square, square)
-        k >>= 1
-    return result
 
 
 def cycle_type_std_eigenprofile(lengths: tuple[int, ...] | list[int]) -> EigenProfile:
@@ -282,13 +258,3 @@ def balanced_class(n_points: int, d: int) -> tuple[int, ...]:
             f"cannot build an even permutation of order {d} on {n_points} points"
         )
     return tuple([d] * q + [1] * (n_points - q * d))
-
-
-def class_to_permutation(lengths: tuple[int, ...] | list[int]) -> Permutation:
-    """Canonical permutation with the given cycle type, on consecutive points."""
-    images = []
-    start = 1
-    for c in lengths:
-        images.extend(list(range(start + 1, start + c)) + [start])
-        start += c
-    return Permutation(tuple(images))

@@ -1,11 +1,12 @@
 """Deterministic permutation-group engine and the shipped generating triples.
 
-The engine is a plain Schreier-Sims stabilizer chain: base points are chosen
-as the least moved point, orbits are grown breadth-first with generators in
-list order, and every Schreier generator is sifted until the chain closes.
-No randomization anywhere, so certification runs are reproducible bit for
-bit.  Orders are exact arbitrary-precision integers; the degrees used by the
-shipped data (12 and 14) are nowhere near any internal limit.
+The engine is an incremental Schreier-Sims stabilizer chain: base points
+are chosen as the least moved point, orbits grow in place breadth-first with
+generators in list order, and each Schreier generator is sifted until it
+sifts to the identity once.  No randomization anywhere, so certification
+runs are reproducible bit for bit.  Orders are exact arbitrary-precision
+integers; the degrees used by the shipped data (12 and 14) are nowhere near
+any internal limit.
 
 ``Permutation`` (1-based, validated) is the type at the boundary: chains are
 built from, test, and report ``Permutation``s.  Inside, the chain works on
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .cocycle import z1_dim_alternating_so
@@ -60,15 +61,26 @@ class StabilizerChain:
     sifting and Schreier generators u_q^-1 * s * u_p compose tuples and never
     invert or validate.
 
+    Construction is incremental Schreier-Sims (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.4); S^(i) is the set of
+    strong generators fixing the first i base points.  Transversal entries
+    are only added, never replaced, and base points only appended, so a
+    sift takes the same path every time: a Schreier generator that sifted to
+    the identity once still does, and is never sifted again.  A residue
+    found at level i lies in <S^(i)>, so the orbits of levels <= i keep
+    their points and only the deeper levels it joins are extended.  Once
+    every Schreier generator sifts to the identity, Schreier's lemma makes
+    <S^(i+1)> the stabilizer of base[i] in <S^(i)> at every level, and the
+    chain is complete.
+
     Construction stops early once the orbit lengths multiply to the parity
     ceiling: n!/2 when every generator is even, n! otherwise.  That is sound
     because each basic orbit is built from generators of a subgroup of the
     true stabilizer, so the product only ever undercounts |G|, and |G| is at
     most the ceiling.  Reaching it forces every basic orbit to be complete
     and the base's pointwise stabilizer to be trivial, so the chain is a
-    valid BSGS and ``order`` and ``contains`` are exact.  Groups below the
-    ceiling close by the full Schreier-Sims test.  Chains are immutable once
-    built and safe to share.
+    valid BSGS and ``order`` and ``contains`` are exact.  Chains are
+    immutable once built and safe to share.
     """
 
     def __init__(self, gens: Sequence[Permutation]):
@@ -84,13 +96,14 @@ class StabilizerChain:
         self._base: list[int] = []
         # per level: point -> (u, u^-1) with u(base point) = point
         self._trans: list[dict[int, tuple[_Images, _Images]]] = []
-        self._sgens: list[tuple[_Images, _Images]] = []
-        self._sgen_level: list[int] = []
+        # strong generators (s, s^-1, level): s fixes the first ``level`` base points
+        self._sgens: list[tuple[_Images, _Images, int]] = []
         seed = [t for t in map(_to_images, gens) if t != self._identity]
         if seed:
             self._append_base_point(self._least_moved(seed[0]))
             for t in seed:
-                self._add_strong_generator(t)
+                self._add_strong_generator(t, 0)
+            self._extend_orbit(0)
             self._close()
 
     @property
@@ -104,14 +117,11 @@ class StabilizerChain:
         ]
 
     def order(self) -> int:
-        total = 1
-        for tr in self._trans:
-            total *= len(tr)
-        return total
+        return prod(map(len, self._trans))
 
     def level_generators(self, level: int) -> list[Permutation]:
         """Strong generators fixing the first ``level`` base points."""
-        return [_to_perm(s) for s, _ in self._level_gens(level)]
+        return [_to_perm(s) for _, s, _ in self._level_gens(level)]
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -125,42 +135,32 @@ class StabilizerChain:
     def _least_moved(g: _Images) -> int:
         return next(p for p, q in enumerate(g) if p != q)
 
-    def _fixed_prefix(self, g: _Images) -> int:
-        level = 0
-        while level < len(self._base) and g[self._base[level]] == self._base[level]:
-            level += 1
-        return level
-
     def _append_base_point(self, point: int) -> None:
         self._base.append(point)
         self._trans.append({point: (self._identity, self._identity)})
 
-    def _add_strong_generator(self, g: _Images) -> None:
+    def _add_strong_generator(self, g: _Images, level: int) -> None:
         inv = [0] * self.degree
         for p, q in enumerate(g):
             inv[q] = p
-        self._sgens.append((g, tuple(inv)))
-        self._sgen_level.append(self._fixed_prefix(g))
+        self._sgens.append((g, tuple(inv), level))
 
-    def _level_gens(self, level: int) -> list[tuple[_Images, _Images]]:
-        return [s for s, l in zip(self._sgens, self._sgen_level) if l >= level]
+    def _level_gens(self, level: int) -> list[tuple[int, _Images, _Images]]:
+        """(index, s, s^-1) of the strong generators in S^(level)."""
+        return [(i, s, s_inv) for i, (s, s_inv, l) in enumerate(self._sgens) if l >= level]
 
-    def _rebuild_orbit(self, level: int) -> None:
+    def _extend_orbit(self, level: int) -> None:
+        """Grow the level's orbit in place, breadth-first from its points."""
         gens = self._level_gens(level)
-        b = self._base[level]
-        tr = {b: (self._identity, self._identity)}
-        queue = [b]
+        tr = self._trans[level]
+        queue = list(tr)
         for p in queue:
             u, u_inv = tr[p]
-            for s, s_inv in gens:
+            for _, s, s_inv in gens:
                 q = s[p]
                 if q not in tr:
-                    tr[q] = (
-                        tuple(map(s.__getitem__, u)),
-                        tuple(map(u_inv.__getitem__, s_inv)),
-                    )
+                    tr[q] = (tuple(map(s.__getitem__, u)), tuple(map(u_inv.__getitem__, s_inv)))
                     queue.append(q)
-        self._trans[level] = tr
 
     def _sift(self, g: _Images, start: int) -> tuple[_Images, int]:
         """Strip g through levels >= start; return (residue, level reached)."""
@@ -172,41 +172,38 @@ class StabilizerChain:
         return g, len(self._base)
 
     def _close(self) -> None:
-        for level in range(len(self._base)):
-            self._rebuild_orbit(level)
+        tested: set[tuple[int, int, int]] = set()  # (level, point, generator index)
         level = len(self._base) - 1
-        while level >= 0:
-            self._rebuild_orbit(level)
-            if self.order() == self._ceiling:  # a complete BSGS; see the class docstring
-                return
-            tr = self._trans[level]
-            gens = self._level_gens(level)
-            restart = False
-            for p in sorted(tr):
-                u_p = tr[p][0]
-                for s, _ in gens:
-                    entry = tr.get(s[p])
-                    if entry is None:  # orbit grew stale under a new generator
-                        restart = True
-                        break
-                    schreier = tuple(map(entry[1].__getitem__, map(s.__getitem__, u_p)))
-                    if schreier == self._identity:
-                        continue
+        while level >= 0 and self.order() != self._ceiling:
+            found = self._untested_residue(level, tested)
+            if found is None:
+                level -= 1
+                continue
+            residue, drop = found
+            if drop == len(self._base):
+                self._append_base_point(self._least_moved(residue))
+            self._add_strong_generator(residue, drop)
+            for lower in range(level + 1, drop + 1):
+                self._extend_orbit(lower)
+            level = drop
+
+    def _untested_residue(self, level: int, tested: set) -> tuple[_Images, int] | None:
+        """First (residue, level reached) of an untested Schreier generator
+        u_q^-1 * s * u_p of the level that does not sift to the identity."""
+        tr = self._trans[level]
+        gens = self._level_gens(level)
+        for p in sorted(tr):
+            u_p = tr[p][0]
+            for i, s, _ in gens:
+                if (level, p, i) in tested:
+                    continue
+                schreier = tuple(map(tr[s[p]][1].__getitem__, map(s.__getitem__, u_p)))
+                if schreier != self._identity:
                     residue, drop = self._sift(schreier, level + 1)
                     if residue != self._identity:
-                        if drop == len(self._base):
-                            self._append_base_point(self._least_moved(residue))
-                        self._add_strong_generator(residue)
-                        for lower in range(level + 1, len(self._base)):
-                            self._rebuild_orbit(lower)
-                        level = drop
-                        restart = True
-                        break
-                if restart:
-                    break
-            if restart:
-                continue
-            level -= 1
+                        return residue, drop
+                tested.add((level, p, i))
+        return None
 
 
 def _to_images(x: Permutation) -> _Images:

@@ -8,6 +8,9 @@ than repvar's stabilizer chain, interval representatives go through
 smallest-numerator search with pure integer inequalities rather than the
 closed-form construction, and triangle witnesses go through a plain triple
 loop rather than one interval query per numerator pair.
+
+The permutation helpers at the top (identity, inverse, power, a canonical
+permutation of a cycle type) are used only by tests and the oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +18,41 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from repvar.eigen import Permutation, perm_compose, perm_order, perm_power
+from repvar.eigen import Permutation, perm_compose, perm_order
+
+
+def identity_perm(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def perm_inverse(x: Permutation) -> Permutation:
+    inv = [0] * x.degree
+    for i, v in enumerate(x.images):
+        inv[v - 1] = i + 1
+    return Permutation(tuple(inv))
+
+
+def perm_power(x: Permutation, k: int) -> Permutation:
+    if k < 0:
+        return perm_power(perm_inverse(x), -k)
+    result = identity_perm(x.degree)
+    square = x
+    while k:
+        if k & 1:
+            result = perm_compose(square, result)
+        square = perm_compose(square, square)
+        k >>= 1
+    return result
+
+
+def class_to_permutation(lengths: tuple[int, ...] | list[int]) -> Permutation:
+    """Canonical permutation with the given cycle type, on consecutive points."""
+    images = []
+    start = 1
+    for c in lengths:
+        images.extend(list(range(start + 1, start + c)) + [start])
+        start += c
+    return Permutation(tuple(images))
 
 
 def fixed_points(x: Permutation) -> int:
@@ -36,7 +73,8 @@ def ext_square_fixed_oracle(x: Permutation) -> int:
         c2 = fixed_points(perm_power(x, 2 * k)) - 1
         total += Fraction(c1 * c1 - c2, 2)
     value = total / d
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"character average {value} is not an integer")
     return int(value)
 
 

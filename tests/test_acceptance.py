@@ -38,11 +38,10 @@ from fixtures import (
     PRINTED_GENUS0_FORMS,
     WITNESS_FAILURES,
 )
-from oracles import ext_square_fixed_oracle, partitions
+from oracles import class_to_permutation, ext_square_fixed_oracle, partitions
 from repvar.cocycle import TorsionFixedData, upper_bound, z1_dim, z1_dim_principal
 from repvar.density import interval_coprime, is_so3_dense, scan_hyperbolic_triples
 from repvar.eigen import (
-    class_to_permutation,
     exterior_square_fixed_dim,
     perm_order,
     perm_parity,

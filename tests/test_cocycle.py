@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fixtures import APPENDIX_DERIVED
+from oracles import identity_perm
 from repvar.cocycle import (
     MismatchedPeriodsError,
     OrderMismatchError,
@@ -15,7 +16,7 @@ from repvar.cocycle import (
     z1_dim_alternating_so,
     z1_dim_principal,
 )
-from repvar.eigen import balanced_class, identity_perm
+from repvar.eigen import balanced_class
 from repvar.liedata import RootSystem, dimension, parse_root_system
 from repvar.permgrp import APPENDIX_ENTRIES
 from repvar.presentation import FuchsianPresentation

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -43,6 +44,20 @@ def test_triangle_witness_examples():
     assert triangle_witness(3, 4, 4) == (1, 1, 1)
     with pytest.raises(ValueError):
         triangle_witness(2, 3, 6)  # Euclidean, not hyperbolic
+
+
+def test_triangle_witness_is_lazy_on_large_periods():
+    # the witness is (1, 1, 1), so the search must not list the half
+    # million coprime numerators of each period before trying the first
+    for strict in (True, False):
+        tracemalloc.start()
+        try:
+            witness = triangle_witness(1000003, 1000033, 1000037, strict)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness == (1, 1, 1)
+        assert peak < 1 << 20
 
 
 def test_witness_validity_and_monotonicity():

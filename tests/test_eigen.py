@@ -3,22 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ext_square_fixed_oracle, partitions
+from oracles import (
+    class_to_permutation,
+    ext_square_fixed_oracle,
+    identity_perm,
+    partitions,
+    perm_inverse,
+    perm_power,
+)
 from repvar.eigen import (
     DegreeMismatchError,
     EigenProfile,
     balanced_class,
-    class_to_permutation,
     cycle_type_std_eigenprofile,
     cycles_text,
     exterior_square_fixed_dim,
-    identity_perm,
     perm_compose,
     perm_from_cycles,
-    perm_inverse,
     perm_order,
     perm_parity,
-    perm_power,
     perm_std_eigenprofile,
     principal_eigenprofile,
     principal_fixed_dim,

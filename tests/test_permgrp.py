@@ -5,14 +5,12 @@ from math import factorial
 import pytest
 
 from fixtures import ALTERNATING_ORDERS, APPENDIX_DERIVED
-from oracles import closure_order, sympy_group
+from oracles import closure_order, identity_perm, perm_inverse, sympy_group
 from repvar.eigen import (
     DegreeMismatchError,
     Permutation,
-    identity_perm,
     perm_compose,
     perm_from_cycles,
-    perm_inverse,
     perm_parity,
 )
 from repvar.permgrp import (
@@ -173,11 +171,22 @@ def test_stabilizer_chain_structure():
         perm_from_cycles("(1 3 5 7 9 11)(2 4 6 8 10 12)", 12),
         perm_from_cycles("(1 2)(3 5)(4 6)", 12),
     ]
+    # degree 18: a block-preserving pair closes below the ceiling, an even
+    # pair stops at 18!/2
+    rng = random.Random(18)
+    blocks18, _ = _block_pair(rng, 18)
+    even18 = [_random_perm(rng, 18, True), _random_perm(rng, 18, True)]
     groups = [(list(e.generators), ALTERNATING_ORDERS[e.degree]) for e in APPENDIX_ENTRIES]
-    groups.append((blocks, sympy_group(blocks, [])[0]))
+    groups += [(g, sympy_group(g, [])[0]) for g in (blocks, blocks18)]
+    groups.append((even18, factorial(18) // 2))
     for gens, expected in groups:
         chain = StabilizerChain(gens)
         assert chain.order() == expected
+        # construction is deterministic: a second build is identical
+        again = StabilizerChain(gens)
+        assert again.base == chain.base
+        assert again.level_generators(0) == chain.level_generators(0)
+        assert again.transversals == chain.transversals
         # the base is 1-based and starts at the least point moved by gens[0]
         assert chain.base[0] == min(p for p in range(1, chain.degree + 1) if gens[0](p) != p)
         assert all(1 <= b <= chain.degree for b in chain.base)

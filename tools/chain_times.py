@@ -1,0 +1,61 @@
+"""Best-of-3 stabilizer-chain build times on fixed inputs, as one JSON object.
+
+Run from the root of a repvar checkout:
+
+    PYTHONPATH=src python3 tools/chain_times.py
+
+Inputs: the six appendix triples; S_2 wr S_k (blocks {1,2}, {3,4}, ...,
+generated by (1 2), (1 3)(2 4) and the block k-cycle) at degrees 18, 24, 32
+and 40, which close below the parity ceiling; and one random pair of even
+permutations at degrees 20, 24 and 32, drawn from ``random.Random(degree)``.
+Each entry is [milliseconds, group order].
+"""
+
+from __future__ import annotations
+
+import json
+import platform
+import random
+from time import perf_counter
+
+from repvar.eigen import Permutation, perm_parity
+from repvar.permgrp import APPENDIX_ENTRIES, StabilizerChain
+
+REPS = 3
+
+
+def best_of(gens: list[Permutation]) -> list:
+    times = []
+    for _ in range(REPS):
+        start = perf_counter()
+        chain = StabilizerChain(gens)
+        times.append(perf_counter() - start)
+    return [round(min(times) * 1e3, 2), chain.order()]
+
+
+def wreath(k: int) -> list[Permutation]:
+    n = 2 * k
+    swap, exchange = [2, 1, *range(3, n + 1)], [3, 4, 1, 2, *range(5, n + 1)]
+    cycle = [*range(3, n + 1), 1, 2]
+    return [Permutation(tuple(images)) for images in (swap, exchange, cycle)]
+
+
+def even_pair(n: int) -> list[Permutation]:
+    rng = random.Random(n)
+    pair = []
+    for _ in range(2):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        if perm_parity(Permutation(tuple(images))) == "odd":
+            images[0], images[1] = images[1], images[0]
+        pair.append(Permutation(tuple(images)))
+    return pair
+
+
+if __name__ == "__main__":
+    print(json.dumps({
+        "python": platform.python_version(),
+        "triples": {e.label: best_of(list(e.generators)) for e in APPENDIX_ENTRIES},
+        "wreath_s2_sk": {str(n): best_of(wreath(n // 2)) for n in (18, 24, 32, 40)},
+        "even_pair": {str(n): best_of(even_pair(n)) for n in (20, 24, 32)},
+    }))
