@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .eigen import (
@@ -117,7 +118,8 @@ def z1_dim_alternating_so(
     ``generators`` gives one permutation (or bare cycle type) per period,
     with orders matching the periods; the module is the exterior square of
     the standard representation, of dimension (N-1)(N-2)/2 = dim SO(N-1),
-    irreducible for N >= 6, so the dual invariants vanish.
+    irreducible for N >= 6, so the dual invariants vanish.  Degrees and
+    orders are checked on the cycle types before any eigenprofile is built.
     """
     if degree < 6:
         raise ValueError("need degree >= 6 for an irreducible exterior square")
@@ -125,28 +127,23 @@ def z1_dim_alternating_so(
         raise MismatchedPeriodsError(
             f"{len(generators)} generators for {len(p.periods)} periods"
         )
-    pairs = []
-    for gen in generators:
-        if isinstance(gen, Permutation):
-            if gen.degree != degree:
-                raise MismatchedPeriodsError(
-                    f"permutation degree {gen.degree} != {degree}"
-                )
-            lengths = gen.cycle_type()
-        else:
-            lengths = tuple(gen)
-            if sum(lengths) != degree:
-                raise MismatchedPeriodsError(
-                    f"cycle type {lengths} does not fill {degree} points"
-                )
-        profile = cycle_type_std_eigenprofile(lengths)
-        pairs.append((profile.order, exterior_square_fixed_dim(profile)))
-    if tuple(sorted(d for d, _ in pairs)) != p.periods:
+    types = [g.cycle_type() if isinstance(g, Permutation) else tuple(g) for g in generators]
+    for lengths in types:
+        if sum(lengths) != degree:
+            raise MismatchedPeriodsError(
+                f"cycle type {lengths} does not fill {degree} points"
+            )
+    orders = [lcm(*lengths) for lengths in types]
+    if tuple(sorted(orders)) != p.periods:
         raise OrderMismatchError(
-            f"generator orders {sorted(d for d, _ in pairs)} do not match "
+            f"generator orders {sorted(orders)} do not match "
             f"periods {list(p.periods)}"
         )
-    return z1_dim(p, TorsionFixedData(tuple(pairs), so_dim(degree - 1), 0))
+    torsion = tuple(
+        (d, exterior_square_fixed_dim(cycle_type_std_eigenprofile(lengths)))
+        for d, lengths in zip(orders, types)
+    )
+    return z1_dim(p, TorsionFixedData(torsion, so_dim(degree - 1), 0))
 
 
 def upper_bound(p: FuchsianPresentation, dim_g: int, rank: int) -> Fraction:

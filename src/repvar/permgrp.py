@@ -1,12 +1,13 @@
 """Deterministic permutation-group engine and the shipped generating triples.
 
-The engine is an incremental Schreier-Sims stabilizer chain: base points
-are chosen as the least moved point, orbits grow in place breadth-first with
-generators in list order, and each Schreier generator is sifted until it
-sifts to the identity once.  No randomization anywhere, so certification
-runs are reproducible bit for bit.  Orders are exact arbitrary-precision
-integers; the degrees used by the shipped data (12 and 14) are nowhere near
-any internal limit.
+The engine is an incremental Schreier-Sims stabilizer chain that keeps S^(i)
+as one list per level.  Every strong generator, seed or residue, joins S^(0)
+to S^(i) for the first base point base[i] it moves (a new one, its least
+moved point, if it fixes the base); orbits grow in place, and each Schreier
+generator is sifted until it sifts to the identity once.  No randomization
+anywhere, so certification runs are reproducible bit for bit.  Orders are
+exact arbitrary-precision integers; the degrees used by the shipped data
+(12 and 14) are nowhere near any internal limit.
 
 ``Permutation`` (1-based, validated) is the type at the boundary: chains are
 built from, test, and report ``Permutation``s.  Inside, the chain works on
@@ -62,16 +63,18 @@ class StabilizerChain:
     invert or validate.
 
     Construction is incremental Schreier-Sims (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005, 4.4); S^(i) is the set of
-    strong generators fixing the first i base points.  Transversal entries
-    are only added, never replaced, and base points only appended, so a
-    sift takes the same path every time: a Schreier generator that sifted to
-    the identity once still does, and is never sifted again.  A residue
-    found at level i lies in <S^(i)>, so the orbits of levels <= i keep
-    their points and only the deeper levels it joins are extended.  Once
-    every Schreier generator sifts to the identity, Schreier's lemma makes
-    <S^(i+1)> the stabilizer of base[i] in <S^(i)> at every level, and the
-    chain is complete.
+    Handbook of Computational Group Theory, 2005, 4.4).  S^(i), the strong
+    generators fixing the first i base points, is one list per level, and
+    seeds and residues enter by one rule: a generator whose first moved base
+    point is base[i] is appended to S^(0), ..., S^(i); one that fixes the
+    whole base first appends its least moved point.  Lists, orbits and the
+    base only grow, and transversal entries are never replaced, so a sift
+    takes the same path every time: the Schreier generators at a point that
+    sifted to the identity once, a prefix of S^(i), still do and are never
+    sifted again.  A residue found at level i lies in <S^(i)>, so only the
+    deeper levels it joins are extended.  Once every Schreier generator
+    sifts to the identity, Schreier's lemma makes <S^(i+1)> the stabilizer
+    of base[i] in <S^(i)> at every level, and the chain is complete.
 
     Construction stops early once the orbit lengths multiply to the parity
     ceiling: n!/2 when every generator is even, n! otherwise.  That is sound
@@ -96,15 +99,14 @@ class StabilizerChain:
         self._base: list[int] = []
         # per level: point -> (u, u^-1) with u(base point) = point
         self._trans: list[dict[int, tuple[_Images, _Images]]] = []
-        # strong generators (s, s^-1, level): s fixes the first ``level`` base points
-        self._sgens: list[tuple[_Images, _Images, int]] = []
-        seed = [t for t in map(_to_images, gens) if t != self._identity]
-        if seed:
-            self._append_base_point(self._least_moved(seed[0]))
-            for t in seed:
-                self._add_strong_generator(t, 0)
-            self._extend_orbit(0)
-            self._close()
+        # per level i: S^(i) as (s, s^-1) pairs, in the order they were added
+        self._gens: list[list[tuple[_Images, _Images]]] = []
+        for t in map(_to_images, gens):
+            if t != self._identity:
+                self._add_strong_generator(t)
+        for level in range(len(self._base)):
+            self._extend_orbit(level)
+        self._close()
 
     @property
     def base(self) -> list[int]:
@@ -120,89 +122,86 @@ class StabilizerChain:
         return prod(map(len, self._trans))
 
     def level_generators(self, level: int) -> list[Permutation]:
-        """Strong generators fixing the first ``level`` base points."""
-        return [_to_perm(s) for _, s, _ in self._level_gens(level)]
+        """S^(level): the strong generators fixing the first ``level`` base
+        points, in the order they were added; empty past the last level."""
+        if level < 0:
+            raise ValueError(f"level {level} is negative")
+        return [_to_perm(s) for s, _ in self._gens[level]] if level < len(self._gens) else []
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise DegreeMismatchError(f"degree {g.degree} != {self.degree}")
-        residue, _ = self._sift(_to_images(g), 0)
-        return residue == self._identity
+        return self._sift(_to_images(g), 0) == self._identity
 
     # -- construction internals, all on 0-based image tuples ---------------
 
-    @staticmethod
-    def _least_moved(g: _Images) -> int:
-        return next(p for p, q in enumerate(g) if p != q)
-
-    def _append_base_point(self, point: int) -> None:
-        self._base.append(point)
-        self._trans.append({point: (self._identity, self._identity)})
-
-    def _add_strong_generator(self, g: _Images, level: int) -> None:
+    def _add_strong_generator(self, g: _Images) -> int:
+        """Append g to S^(0..level), base[level] being the first base point g
+        moves (a new one if g fixes the base), and return level."""
+        level = next((i for i, b in enumerate(self._base) if g[b] != b), len(self._base))
+        if level == len(self._base):
+            point = next(p for p, q in enumerate(g) if p != q)
+            self._base.append(point)
+            self._trans.append({point: (self._identity, self._identity)})
+            self._gens.append([])
         inv = [0] * self.degree
         for p, q in enumerate(g):
             inv[q] = p
-        self._sgens.append((g, tuple(inv), level))
-
-    def _level_gens(self, level: int) -> list[tuple[int, _Images, _Images]]:
-        """(index, s, s^-1) of the strong generators in S^(level)."""
-        return [(i, s, s_inv) for i, (s, s_inv, l) in enumerate(self._sgens) if l >= level]
+        pair = (g, tuple(inv))
+        for i in range(level + 1):
+            self._gens[i].append(pair)
+        return level
 
     def _extend_orbit(self, level: int) -> None:
         """Grow the level's orbit in place, breadth-first from its points."""
-        gens = self._level_gens(level)
+        gens = self._gens[level]
         tr = self._trans[level]
         queue = list(tr)
         for p in queue:
             u, u_inv = tr[p]
-            for _, s, s_inv in gens:
+            for s, s_inv in gens:
                 q = s[p]
                 if q not in tr:
                     tr[q] = (tuple(map(s.__getitem__, u)), tuple(map(u_inv.__getitem__, s_inv)))
                     queue.append(q)
 
-    def _sift(self, g: _Images, start: int) -> tuple[_Images, int]:
-        """Strip g through levels >= start; return (residue, level reached)."""
+    def _sift(self, g: _Images, start: int) -> _Images:
+        """Strip g through levels >= start; return the residue."""
         for level in range(start, len(self._base)):
             entry = self._trans[level].get(g[self._base[level]])
             if entry is None:
-                return g, level
+                break
             g = tuple(map(entry[1].__getitem__, g))
-        return g, len(self._base)
+        return g
 
     def _close(self) -> None:
-        tested: set[tuple[int, int, int]] = set()  # (level, point, generator index)
+        done: dict[tuple[int, int], int] = {}  # (level, point) -> tested prefix length of S^(level)
         level = len(self._base) - 1
         while level >= 0 and self.order() != self._ceiling:
-            found = self._untested_residue(level, tested)
-            if found is None:
+            residue = self._untested_residue(level, done)
+            if residue is None:
                 level -= 1
                 continue
-            residue, drop = found
-            if drop == len(self._base):
-                self._append_base_point(self._least_moved(residue))
-            self._add_strong_generator(residue, drop)
+            drop = self._add_strong_generator(residue)
             for lower in range(level + 1, drop + 1):
                 self._extend_orbit(lower)
             level = drop
 
-    def _untested_residue(self, level: int, tested: set) -> tuple[_Images, int] | None:
-        """First (residue, level reached) of an untested Schreier generator
-        u_q^-1 * s * u_p of the level that does not sift to the identity."""
+    def _untested_residue(self, level: int, done: dict) -> _Images | None:
+        """Residue of the first untested Schreier generator u_q^-1 * s * u_p
+        of the level that does not sift to the identity."""
         tr = self._trans[level]
-        gens = self._level_gens(level)
+        gens = self._gens[level]
         for p in sorted(tr):
             u_p = tr[p][0]
-            for i, s, _ in gens:
-                if (level, p, i) in tested:
-                    continue
+            for i in range(done.get((level, p), 0), len(gens)):
+                s = gens[i][0]
                 schreier = tuple(map(tr[s[p]][1].__getitem__, map(s.__getitem__, u_p)))
                 if schreier != self._identity:
-                    residue, drop = self._sift(schreier, level + 1)
+                    residue = self._sift(schreier, level + 1)
                     if residue != self._identity:
-                        return residue, drop
-                tested.add((level, p, i))
+                        return residue
+                done[level, p] = i + 1
         return None
 
 

@@ -97,6 +97,22 @@ def test_z1_dim_alternating_order_mismatch():
     with pytest.raises(MismatchedPeriodsError):
         # middle cycle type only fills 13 of the 14 points
         z1_dim_alternating_so(p, [(2,) * 7, (4, 4, 4, 1), (6, 6, 1, 1)], 14)
+    with pytest.raises(MismatchedPeriodsError):
+        # a degree-12 permutation among degree-14 ones
+        z1_dim_alternating_so(p, [entry.x1, entry.x2, APPENDIX_ENTRIES[2].x2], 14)
+
+
+def test_z1_dim_alternating_checks_orders_before_profiles(monkeypatch):
+    # a 61-point element of order 5*7*9*11*13*16 = 720,720 where a period 7 is
+    # due: the orders are rejected without building any eigenprofile
+    def no_profile(lengths):
+        raise AssertionError(f"eigenprofile built for {lengths}")
+
+    monkeypatch.setattr("repvar.cocycle.cycle_type_std_eigenprofile", no_profile)
+    p = FuchsianPresentation(0, (2, 3, 7))
+    types = [(2,) * 30 + (1,), (3,) * 20 + (1,), (16, 13, 11, 9, 7, 5)]
+    with pytest.raises(OrderMismatchError):
+        z1_dim_alternating_so(p, types, 61)
 
 
 def test_both_formula_lines_agree_on_random_data():

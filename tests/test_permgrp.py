@@ -179,6 +179,8 @@ def test_stabilizer_chain_structure():
     groups = [(list(e.generators), ALTERNATING_ORDERS[e.degree]) for e in APPENDIX_ENTRIES]
     groups += [(g, sympy_group(g, [])[0]) for g in (blocks, blocks18)]
     groups.append((even18, factorial(18) // 2))
+    # (3 4) fixes the first base point 1, so it is placed in S^(0) and S^(1)
+    groups.append(([perm_from_cycles("(1 2)", 4), perm_from_cycles("(3 4)", 4)], 4))
     for gens, expected in groups:
         chain = StabilizerChain(gens)
         assert chain.order() == expected
@@ -200,14 +202,26 @@ def test_stabilizer_chain_structure():
                 assert isinstance(rep, Permutation)
                 assert rep(point) == target
                 assert all(rep(b) == b for b in chain.base[:level])
-            for g in chain.level_generators(level):
-                assert all(g(b) == b for b in chain.base[:level])
         assert product == chain.order()
+        # one placement rule: S^(i) is exactly the strong generators fixing
+        # base[:i], in the order of S^(0), and no generator is stored twice
         strong = chain.level_generators(0)
+        assert len(set(strong)) == len(strong)
+        for level in range(len(chain.base) + 1):
+            fixing = [g for g in strong if all(g(b) == b for b in chain.base[:level])]
+            assert chain.level_generators(level) == fixing
         assert all(isinstance(g, Permutation) for g in strong)
         assert group_order(strong) == chain.order()
         assert all(chain.contains(g) for g in strong)
     assert not StabilizerChain(blocks).contains(perm_from_cycles("(1 2 3)", 12))
+
+
+def test_level_generators_boundary():
+    chain = StabilizerChain(list(entry_by_label("4,6,12").generators))
+    assert chain.level_generators(len(chain.base)) == []
+    assert chain.level_generators(len(chain.base) + 5) == []
+    with pytest.raises(ValueError):
+        chain.level_generators(-1)
 
 
 def test_all_entries_verify():

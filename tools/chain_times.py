@@ -8,7 +8,7 @@ Inputs: the six appendix triples; S_2 wr S_k (blocks {1,2}, {3,4}, ...,
 generated by (1 2), (1 3)(2 4) and the block k-cycle) at degrees 18, 24, 32
 and 40, which close below the parity ceiling; and one random pair of even
 permutations at degrees 20, 24 and 32, drawn from ``random.Random(degree)``.
-Each entry is [milliseconds, group order].
+Each entry is [milliseconds, group order, number of strong generators].
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def best_of(gens: list[Permutation]) -> list:
         start = perf_counter()
         chain = StabilizerChain(gens)
         times.append(perf_counter() - start)
-    return [round(min(times) * 1e3, 2), chain.order()]
+    return [round(min(times) * 1e3, 2), chain.order(), len(chain.level_generators(0))]
 
 
 def wreath(k: int) -> list[Permutation]:
