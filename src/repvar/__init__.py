@@ -5,126 +5,55 @@ representation families of cocompact oriented Fuchsian groups, classifies
 SO(3)-density, reproduces the associated numeric tables, and certifies the
 six shipped alternating-group generating triples.  Everything is computed in
 exact integer/rational arithmetic.
+
+``import repvar`` loads no submodule: each exported name loads its module on
+first access (PEP 562), so a CLI call pays only for what its subcommand uses.
 """
 
-from .cocycle import (
-    MismatchedPeriodsError,
-    NonIntegerResultError,
-    OrderMismatchError,
-    TorsionFixedData,
-    density_criterion_compare,
-    exceptional_inequality,
-    upper_bound,
-    z1_dim,
-    z1_dim_alternating_so,
-    z1_dim_principal,
-)
-from .density import (
-    DensityVerdict,
-    interval_coprime,
-    is_so3_dense,
-    scan_hyperbolic_triples,
-    strict_triangle,
-    triangle_witness,
-)
-from .eigen import (
-    EigenProfile,
-    Permutation,
-    balanced_class,
-    exterior_square_fixed_dim,
-    perm_compose,
-    perm_from_cycles,
-    perm_order,
-    perm_parity,
-    perm_std_eigenprofile,
-    principal_eigenprofile,
-    principal_fixed_dim,
-    su_centralizer_dim,
-)
-from .liedata import (
-    ClassicalGroup,
-    RootSystem,
-    classical_dim,
-    classical_rank,
-    dimension,
-    exponents,
-    parse_classical_group,
-    parse_root_system,
-)
-from .permgrp import (
-    APPENDIX_ENTRIES,
-    AppendixEntry,
-    AppendixReport,
-    StabilizerChain,
-    generates_alternating,
-    group_order,
-    verify_appendix_entry,
-)
-from .presentation import (
-    BadPeriodError,
-    FuchsianPresentation,
-    NonHyperbolicError,
-    Rational,
-    euler_characteristic,
-    parse_presentation,
-    validate,
-)
-from .report import defect_table, genus0_all2_values, tminusdim_table
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APPENDIX_ENTRIES",
-    "AppendixEntry",
-    "AppendixReport",
-    "BadPeriodError",
-    "ClassicalGroup",
-    "DensityVerdict",
-    "EigenProfile",
-    "FuchsianPresentation",
-    "MismatchedPeriodsError",
-    "NonHyperbolicError",
-    "NonIntegerResultError",
-    "OrderMismatchError",
-    "Permutation",
-    "Rational",
-    "RootSystem",
-    "StabilizerChain",
-    "TorsionFixedData",
-    "balanced_class",
-    "classical_dim",
-    "classical_rank",
-    "defect_table",
-    "density_criterion_compare",
-    "dimension",
-    "euler_characteristic",
-    "exceptional_inequality",
-    "exponents",
-    "exterior_square_fixed_dim",
-    "generates_alternating",
-    "genus0_all2_values",
-    "group_order",
-    "interval_coprime",
-    "is_so3_dense",
-    "parse_classical_group",
-    "parse_presentation",
-    "parse_root_system",
-    "perm_compose",
-    "perm_from_cycles",
-    "perm_order",
-    "perm_parity",
-    "perm_std_eigenprofile",
-    "principal_eigenprofile",
-    "principal_fixed_dim",
-    "scan_hyperbolic_triples",
-    "strict_triangle",
-    "su_centralizer_dim",
-    "tminusdim_table",
-    "triangle_witness",
-    "upper_bound",
-    "validate",
-    "verify_appendix_entry",
-    "z1_dim",
-    "z1_dim_alternating_so",
-    "z1_dim_principal",
-]
+SCHEMA = 1  # version of every JSON object the package prints
+
+_EXPORTS = {
+    "cocycle": (
+        "MismatchedPeriodsError", "NonIntegerResultError", "OrderMismatchError",
+        "TorsionFixedData", "density_criterion_compare", "exceptional_inequality",
+        "upper_bound", "z1_dim", "z1_dim_alternating_so", "z1_dim_principal",
+    ),
+    "density": (
+        "DensityVerdict", "interval_coprime", "is_so3_dense",
+        "scan_hyperbolic_triples", "strict_triangle", "triangle_witness",
+    ),
+    "eigen": (
+        "EigenProfile", "Permutation", "balanced_class", "exterior_square_fixed_dim",
+        "perm_compose", "perm_from_cycles", "perm_order", "perm_parity",
+        "perm_std_eigenprofile", "principal_eigenprofile", "principal_fixed_dim",
+        "su_centralizer_dim",
+    ),
+    "liedata": (
+        "ClassicalGroup", "RootSystem", "classical_dim", "classical_rank",
+        "dimension", "exponents", "parse_classical_group", "parse_root_system",
+    ),
+    "permgrp": (
+        "APPENDIX_ENTRIES", "AppendixEntry", "AppendixReport", "StabilizerChain",
+        "generates_alternating", "group_order", "verify_appendix_entry",
+    ),
+    "presentation": (
+        "BadPeriodError", "FuchsianPresentation", "NonHyperbolicError", "Rational",
+        "euler_characteristic", "parse_presentation", "validate",
+    ),
+    "report": ("defect_table", "genus0_all2_values", "tminusdim_table"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

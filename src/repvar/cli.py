@@ -14,59 +14,19 @@ classifications, and the verdict text/JSON carries the answer.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import __version__
-from .cocycle import upper_bound, z1_dim_alternating_so, z1_dim_principal
-from .density import (
-    DensityVerdict,
-    ExceptionalSet,
-    GenusPositive,
-    IndexTwoRealization,
-    InductiveReduction,
-    TriangleWitness,
-    interval_coprime,
-    is_so3_dense,
-    scan_hyperbolic_triples,
-    triangle_witness,
-)
-from .eigen import balanced_class
-from .liedata import (
-    classical_dim,
-    classical_rank,
-    dimension,
-    parse_classical_group,
-    parse_root_system,
-    so_dim,
-)
-from .permgrp import (
-    APPENDIX_ENTRIES,
-    entry_by_label,
-    parse_entry_text,
-    verify_appendix_entry,
-)
-from .presentation import (
-    NonHyperbolicError,
-    SignatureError,
-    euler_characteristic,
-    parse_presentation,
-    parse_signature,
-)
-from .report import (
-    COLUMNS,
-    SCHEMA,
-    defect_table,
-    genus0_all2_values,
-    render_table_text,
-    table_json_obj,
-    tminusdim_table,
-)
+from . import SCHEMA, __version__
+
+# Each handler imports the modules it uses when it runs, so a call loads
+# only what its subcommand needs.
 
 
 def dump_json(obj: dict) -> str:
     """Canonical JSON rendering; parsing and re-dumping is byte-identical."""
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -83,6 +43,8 @@ def _csv(values) -> str:
 
 
 def _cmd_euler(args) -> int:
+    from .presentation import euler_characteristic, parse_signature
+
     genus, periods = parse_signature(args.presentation)
     chi = euler_characteristic(genus, periods)
     _emit(args, f"{chi}\n", presentation=args.presentation.strip(), chi=str(chi))
@@ -90,6 +52,8 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .presentation import NonHyperbolicError, parse_presentation
+
     try:
         p = parse_presentation(args.presentation)
     except NonHyperbolicError as exc:
@@ -104,6 +68,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_z1_principal(args) -> int:
+    from .cocycle import z1_dim_principal
+    from .liedata import dimension, parse_root_system
+    from .presentation import parse_presentation
+
     p = parse_presentation(args.presentation)
     rs = parse_root_system(args.root_system)
     z1 = z1_dim_principal(p, rs)
@@ -115,9 +83,16 @@ def _cmd_z1_principal(args) -> int:
 
 
 def _cmd_z1_alternating(args) -> int:
+    from .cocycle import z1_dim_alternating_so
+    from .eigen import balanced_class
+    from .liedata import so_dim
+    from .presentation import parse_presentation
+
     p = parse_presentation(args.presentation)
     degree = args.degree
     if args.triple is not None:
+        from .permgrp import parse_entry_text
+
         with open(args.triple, encoding="utf-8") as handle:
             entry = parse_entry_text(handle.read())
         if entry.degree != degree:
@@ -137,6 +112,12 @@ def _cmd_z1_alternating(args) -> int:
 
 
 def _cmd_upper_bound(args) -> int:
+    from .cocycle import upper_bound
+    from .liedata import (
+        classical_dim, classical_rank, dimension, parse_classical_group, parse_root_system,
+    )
+    from .presentation import parse_presentation
+
     p = parse_presentation(args.presentation)
     token = args.group
     try:
@@ -153,8 +134,13 @@ def _cmd_upper_bound(args) -> int:
     return 0
 
 
-def _reason_fields(verdict: DensityVerdict) -> tuple[str, dict]:
-    """Text and JSON forms of a verdict's reason, both led by its kind."""
+def _reason_fields(verdict) -> tuple[str, dict]:
+    """Text and JSON forms of a ``DensityVerdict``'s reason, both led by its kind."""
+    from .density import (
+        ExceptionalSet, GenusPositive, IndexTwoRealization, InductiveReduction,
+        TriangleWitness,
+    )
+
     reason = verdict.reason
     kind = type(reason).__name__
     if isinstance(reason, (GenusPositive, ExceptionalSet)):
@@ -182,6 +168,9 @@ def _reason_fields(verdict: DensityVerdict) -> tuple[str, dict]:
 
 
 def _cmd_density(args) -> int:
+    from .density import is_so3_dense
+    from .presentation import parse_presentation
+
     p = parse_presentation(args.presentation)
     verdict = is_so3_dense(p)
     reason_text, reason = _reason_fields(verdict)
@@ -195,6 +184,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_triangle_witness(args) -> int:
+    from .density import triangle_witness
+
     strict = not args.non_strict
     witness = triangle_witness(args.d1, args.d2, args.d3, strict=strict)
     found = witness is not None
@@ -207,6 +198,8 @@ def _cmd_triangle_witness(args) -> int:
 
 
 def _cmd_scan_triples(args) -> int:
+    from .density import scan_hyperbolic_triples
+
     failures = scan_hyperbolic_triples(args.dmax)
     _emit(
         args, "".join(_csv(t) + "\n" for t in failures),
@@ -216,6 +209,8 @@ def _cmd_scan_triples(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    from .density import interval_coprime
+
     value = interval_coprime(args.d, args.case)
     found = value is not None
     _emit(args, f"{value}\n" if found else "none\n", d=args.d, case=args.case, a=value)
@@ -227,6 +222,8 @@ def _flag(b: bool) -> str:
 
 
 def _cmd_verify_appendix(args) -> int:
+    from .permgrp import APPENDIX_ENTRIES, entry_by_label, verify_appendix_entry
+
     entries = [entry_by_label(args.entry)] if args.entry else APPENDIX_ENTRIES
     reports = [verify_appendix_entry(e) for e in entries]
     all_ok = all(r.ok for r in reports)
@@ -258,6 +255,11 @@ def _cmd_verify_appendix(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .report import (
+        COLUMNS, defect_table, genus0_all2_values, render_table_text, table_json_obj,
+        tminusdim_table,
+    )
+
     if args.table == "genus0":
         if args.m is None:
             raise ValueError("tables genus0 requires --m")
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (SignatureError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)

@@ -101,7 +101,7 @@ class StabilizerChain:
         self._trans: list[dict[int, tuple[_Images, _Images]]] = []
         # per level i: S^(i) as (s, s^-1) pairs, in the order they were added
         self._gens: list[list[tuple[_Images, _Images]]] = []
-        for t in map(_to_images, gens):
+        for t in dict.fromkeys(map(_to_images, gens)):  # each distinct seed once
             if t != self._identity:
                 self._add_strong_generator(t)
         for level in range(len(self._base)):

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import SCHEMA
 from .cocycle import z1_dim_principal
 from .eigen import principal_fixed_dim
 from .liedata import RootSystem, dimension, parse_root_system
 from .presentation import FuchsianPresentation
 
 COLUMNS = ("A1", "E6", "E7", "E8", "F4", "G2")
-
-SCHEMA = 1  # version of every JSON object the package prints
 
 TMINUSDIM_ROWS = ((2, 2, 2, 3), (2, 3, 7), (2, 4, 5), (3, 3, 4))
 

@@ -273,3 +273,51 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "not-dense ExceptionalSet\n"
+
+
+COMMANDS = (
+    "{euler,validate,z1,upper-bound,density,triangle-witness,scan-triples,interval,"
+    "verify-appendix,tables}"
+)
+HELP = f"""\
+usage: repvar [-h] [--version]
+              {COMMANDS}
+              ...
+
+Exact computations on Fuchsian group representation varieties.
+
+positional arguments:
+  {COMMANDS}
+    euler               Euler characteristic of a signature
+    validate            check a signature is hyperbolic
+    z1                  cocycle-space dimensions
+    upper-bound         cocycle dimension upper bound
+    density             SO(3)-density classification
+    triangle-witness    coprime rotation angles
+    scan-triples        triples with no strict witness
+    interval            coprime interval representative
+    verify-appendix     certify the shipped triples
+    tables              reproduce the numeric tables
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+Z1_HELP = """\
+usage: repvar z1 [-h] {principal,alternating} ...
+
+positional arguments:
+  {principal,alternating}
+    principal           principal representation
+    alternating         alternating image in SO(N-1)
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_help_and_version_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "--help") == (0, HELP, "")
+    assert run(capsys, "z1", "--help") == (0, Z1_HELP, "")
+    assert run(capsys, "--version") == (0, "0.1.0\n", "")

@@ -181,6 +181,9 @@ def test_stabilizer_chain_structure():
     groups.append((even18, factorial(18) // 2))
     # (3 4) fixes the first base point 1, so it is placed in S^(0) and S^(1)
     groups.append(([perm_from_cycles("(1 2)", 4), perm_from_cycles("(3 4)", 4)], 4))
+    # a seed listed twice is stored once
+    x = perm_from_cycles("(1 2 3)", 4)
+    groups.append(([x, x], 3))
     for gens, expected in groups:
         chain = StabilizerChain(gens)
         assert chain.order() == expected
@@ -214,6 +217,7 @@ def test_stabilizer_chain_structure():
         assert group_order(strong) == chain.order()
         assert all(chain.contains(g) for g in strong)
     assert not StabilizerChain(blocks).contains(perm_from_cycles("(1 2 3)", 12))
+    assert StabilizerChain([x, x]).level_generators(0) == [x]
 
 
 def test_level_generators_boundary():
