@@ -134,37 +134,30 @@ def _cmd_upper_bound(args) -> int:
     return 0
 
 
-def _reason_fields(verdict) -> tuple[str, dict]:
-    """Text and JSON forms of a ``DensityVerdict``'s reason, both led by its kind."""
-    from .density import (
-        ExceptionalSet, GenusPositive, IndexTwoRealization, InductiveReduction,
-        TriangleWitness,
-    )
+# the reason fields whose text label differs from their JSON key
+_REASON_LABELS = {"angles": "a", "auxiliary": "d"}
 
-    reason = verdict.reason
+
+def _reason_fields(reason) -> tuple[str, dict]:
+    """Text and JSON forms of a density reason, both led by its kind.
+
+    Fields render in declaration order: a tuple as ``label=(csv)`` and a
+    JSON list, an int bare, anything else as its ``str``.
+    """
+    from dataclasses import fields
+
     kind = type(reason).__name__
-    if isinstance(reason, (GenusPositive, ExceptionalSet)):
-        return kind, {"kind": kind}
-    if isinstance(reason, TriangleWitness):
-        return f"{kind} a=({_csv(reason.angles)})", {
-            "kind": kind, "angles": list(reason.angles),
-        }
-    if isinstance(reason, IndexTwoRealization):
-        return f"{kind} parent={reason.parent.text()}", {
-            "kind": kind, "parent": reason.parent.text(),
-        }
-    if not isinstance(reason, InductiveReduction):
-        raise TypeError(f"unknown density reason {reason!r}")
-    return (
-        f"{kind} retained=({_csv(reason.retained)}) split=({_csv(reason.split)})"
-        f" d={reason.auxiliary}",
-        {
-            "kind": kind,
-            "retained": list(reason.retained),
-            "split": list(reason.split),
-            "auxiliary": reason.auxiliary,
-        },
-    )
+    words, obj = [kind], {"kind": kind}
+    for field in fields(reason):
+        value = getattr(reason, field.name)
+        if isinstance(value, tuple):
+            shown, obj[field.name] = f"({_csv(value)})", list(value)
+        elif isinstance(value, int):
+            shown = obj[field.name] = value
+        else:
+            shown = obj[field.name] = str(value)
+        words.append(f"{_REASON_LABELS.get(field.name, field.name)}={shown}")
+    return " ".join(words), obj
 
 
 def _cmd_density(args) -> int:
@@ -173,7 +166,7 @@ def _cmd_density(args) -> int:
 
     p = parse_presentation(args.presentation)
     verdict = is_so3_dense(p)
-    reason_text, reason = _reason_fields(verdict)
+    reason_text, reason = _reason_fields(verdict.reason)
     text = ("dense " if verdict.dense else "not-dense ") + reason_text + "\n"
     note = {}
     if verdict.note:

@@ -75,13 +75,14 @@ Reason = Union[
 
 @dataclass(frozen=True)
 class DensityVerdict:
-    dense: bool
+    """A classification: the branch of the argument, plus an optional diagnostic."""
+
     reason: Reason
     note: str = ""
 
-    def __post_init__(self) -> None:
-        if self.dense != (not isinstance(self.reason, ExceptionalSet)):
-            raise ValueError("a verdict is not-dense exactly when its reason is ExceptionalSet")
+    @property
+    def dense(self) -> bool:
+        return not isinstance(self.reason, ExceptionalSet)
 
 
 def strict_triangle(q1: Fraction, q2: Fraction, q3: Fraction) -> bool:
@@ -251,7 +252,7 @@ def _reduction_step(periods: tuple[int, ...]) -> InductiveReduction:
 def is_so3_dense(p: FuchsianPresentation) -> DensityVerdict:
     """Classify a signature, with the branch of the argument as the reason."""
     if p.genus >= 1:
-        return DensityVerdict(True, GenusPositive())
+        return DensityVerdict(GenusPositive())
     periods = p.periods
     if periods in EXCEPTIONAL_SIGNATURES:
         note = ""
@@ -262,12 +263,12 @@ def is_so3_dense(p: FuchsianPresentation) -> DensityVerdict:
                 "finite octahedral group; the index-two parent (2,6,4) is "
                 "itself in the exceptional set"
             )
-        return DensityVerdict(False, ExceptionalSet(), note=note)
+        return DensityVerdict(ExceptionalSet(), note=note)
     if len(periods) == 3:
         if periods in _SHADOWED_TRIPLES:
-            return DensityVerdict(True, IndexTwoRealization(_index_two_parent(periods)))
+            return DensityVerdict(IndexTwoRealization(_index_two_parent(periods)))
         witness = triangle_witness(*periods, strict=True)
         if witness is None:  # guaranteed off the exceptional set
             raise ArithmeticError(f"no strict witness for {periods} off the exceptional set")
-        return DensityVerdict(True, TriangleWitness(witness))
-    return DensityVerdict(True, _reduction_step(periods))
+        return DensityVerdict(TriangleWitness(witness))
+    return DensityVerdict(_reduction_step(periods))

@@ -28,27 +28,28 @@ class DegreeMismatchError(ValueError):
 class EigenProfile:
     """Multiplicity vector of d-th-root-of-unity eigenvalues.
 
-    ``multiplicities[j]`` is the multiplicity of exp(2*pi*i*j/d) where d is
-    ``order``; the ambient dimension is the total.  ``real`` flags a
-    self-dual spectrum (m_j = m_{d-j mod d}), which holds for orthogonal and
-    adjoint actions.
+    ``multiplicities[j]`` is the multiplicity of exp(2*pi*i*j/d), one entry
+    per residue mod the order d; the ambient dimension is the total.
+    ``real`` flags a self-dual spectrum (m_j = m_{d-j mod d}), which holds
+    for orthogonal and adjoint actions.
     """
 
-    order: int
     multiplicities: tuple[int, ...]
     real: bool = False
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        if len(self.multiplicities) != self.order:
-            raise ValueError("need one multiplicity per residue mod the order")
+        if not self.multiplicities:
+            raise ValueError("need at least one multiplicity")
         if any(m < 0 for m in self.multiplicities):
             raise ValueError("multiplicities must be non-negative")
         if self.real:
             d, m = self.order, self.multiplicities
             if any(m[j] != m[(d - j) % d] for j in range(d)):
                 raise ValueError("profile flagged real but spectrum is not self-dual")
+
+    @property
+    def order(self) -> int:
+        return len(self.multiplicities)
 
     @property
     def dim(self) -> int:
@@ -173,7 +174,7 @@ def cycle_type_std_eigenprofile(lengths: tuple[int, ...] | list[int]) -> EigenPr
         for j in range(c):
             mult[(j * step) % d] += 1
     mult[0] -= 1
-    return EigenProfile(d, tuple(mult), real=True)
+    return EigenProfile(tuple(mult), real=True)
 
 
 def perm_std_eigenprofile(x: Permutation) -> EigenProfile:
@@ -235,7 +236,7 @@ def principal_eigenprofile(rs: RootSystem, d: int) -> EigenProfile:
     for e in exponents(rs):
         for k in range(-e, e + 1):
             mult[k % d] += 1
-    return EigenProfile(d, tuple(mult), real=True)
+    return EigenProfile(tuple(mult), real=True)
 
 
 def balanced_class(n_points: int, d: int) -> tuple[int, ...]:

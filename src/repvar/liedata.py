@@ -1,20 +1,18 @@
 """Static data for simple root systems and the compact classical groups.
 
 Exponents are generated from the classical closed forms per family rather
-than derived from root-system combinatorics; the identity
+than derived from root-system combinatorics, and they define the dimension:
 
     dim G = sum_i (2 e_i + 1)
 
-is checked for every constructed instance and is the guard against
-transcription errors.  D_3 is accepted as an alias for A_3.
+The tests hold the per-family closed forms for dim G, as the independent
+check on the exponent tables.  D_3 is accepted as an alias for A_3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import re
-
-EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
 _EXCEPTIONAL_EXPONENTS = {
     "E6": (1, 4, 5, 7, 8, 11),
@@ -23,6 +21,8 @@ _EXCEPTIONAL_EXPONENTS = {
     "F4": (1, 5, 7, 11),
     "G2": (1, 5),
 }
+
+EXCEPTIONAL_RANK = {f: len(exps) for f, exps in _EXCEPTIONAL_EXPONENTS.items()}
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -43,11 +43,6 @@ class RootSystem:
                 raise ValueError(f"{self.family}_n needs rank >= {_MIN_RANK[self.family]}")
         else:
             raise ValueError(f"unknown family {self.family!r}")
-        # transcription guard: dim G = sum(2e + 1)
-        if dimension(self) != sum(2 * e + 1 for e in exponents(self)):
-            raise ArithmeticError(f"{self}: dim G != sum(2e + 1) over the exponents")
-        if len(exponents(self)) != self.rank:
-            raise ArithmeticError(f"{self}: exponent count != rank")
 
     def label(self) -> str:
         return self.family if self.family in EXCEPTIONAL_RANK else f"{self.family}{self.rank}"
@@ -73,15 +68,8 @@ def exponents(rs: RootSystem) -> tuple[int, ...]:
 
 
 def dimension(rs: RootSystem) -> int:
-    """Dimension of the simple Lie algebra (closed form per family)."""
-    f, n = rs.family, rs.rank
-    if f == "A":
-        return n * n + 2 * n
-    if f in ("B", "C"):
-        return 2 * n * n + n
-    if f == "D":
-        return 2 * n * n - n
-    return {"E6": 78, "E7": 133, "E8": 248, "F4": 52, "G2": 14}[f]
+    """Dimension of the simple Lie algebra: sum_i (2 e_i + 1) over the exponents."""
+    return sum(2 * e + 1 for e in exponents(rs))
 
 
 @dataclass(frozen=True)

@@ -239,12 +239,15 @@ class AppendixEntry:
     ``verify_appendix_entry`` reports as flags rather than errors.
     """
 
-    label: str
     periods: tuple[int, int, int]
     degree: int
     x1: Permutation
     x2: Permutation
     x3: Permutation
+
+    @property
+    def label(self) -> str:
+        return "%d,%d,%d" % self.periods
 
     @property
     def generators(self) -> tuple[Permutation, Permutation, Permutation]:
@@ -346,7 +349,6 @@ def parse_entry_text(text: str) -> AppendixEntry:
 
 def _entry(periods: tuple[int, int, int], degree: int, c1: str, c2: str, c3: str) -> AppendixEntry:
     return AppendixEntry(
-        label="%d,%d,%d" % periods,
         periods=periods,
         degree=degree,
         x1=perm_from_cycles(c1, degree),

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import SCHEMA
 from .cocycle import z1_dim_principal
 from .eigen import principal_fixed_dim
 from .liedata import RootSystem, dimension, parse_root_system
@@ -102,7 +101,6 @@ def render_table_text(table: Table) -> str:
 
 def table_json_obj(table: Table) -> dict:
     return {
-        "schema": SCHEMA,
         "table": table.name,
         "rows": list(table.row_labels),
         "cols": list(table.col_labels),

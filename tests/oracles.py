@@ -6,8 +6,9 @@ through the character average rather than pair counting, group orders go
 through brute-force product closure or sympy's permutation groups rather
 than repvar's stabilizer chain, interval representatives go through
 smallest-numerator search with pure integer inequalities rather than the
-closed-form construction, and triangle witnesses go through a plain triple
-loop rather than one interval query per numerator pair.
+closed-form construction, triangle witnesses go through a plain triple
+loop rather than one interval query per numerator pair, and Lie algebra
+dimensions go through the per-family closed forms rather than the exponents.
 
 The permutation helpers at the top (identity, inverse, power, a canonical
 permutation of a cycle type) are used only by tests and the oracles.
@@ -154,6 +155,21 @@ def least_triangle_witness(d1: int, d2: int, d3: int, strict: bool) -> tuple[int
                 if all(t > 0 if strict else t >= 0 for t in slacks):
                     return (a1, a2, a3)
     return None
+
+
+_EXCEPTIONAL_DIMENSIONS = {"E6": 78, "E7": 133, "E8": 248, "F4": 52, "G2": 14}
+
+
+def lie_dimension(family: str, n: int) -> int:
+    """dim G by the closed form per family: n^2 + 2n for A_n, 2n^2 + n for
+    B_n and C_n, 2n^2 - n for D_n; the exceptional dimensions are tabulated."""
+    if family == "A":
+        return n * n + 2 * n
+    if family in ("B", "C"):
+        return 2 * n * n + n
+    if family == "D":
+        return 2 * n * n - n
+    return _EXCEPTIONAL_DIMENSIONS[family]
 
 
 def partitions(n: int):

@@ -98,6 +98,51 @@ def test_density(capsys):
     assert obj["reason"]["parent"] == "g=0;d=2,5,10"
 
 
+OCTAHEDRAL_NOTE = (
+    "strict witness (1, 1, 1) exists but its rotations generate the finite "
+    "octahedral group; the index-two parent (2,6,4) is itself in the exceptional set"
+)
+# one signature per reason kind: (signature, text stdout, JSON "reason" and after)
+DENSITY_BYTES = [
+    ("g=1;d=5", "dense GenusPositive\n", {"reason": {"kind": "GenusPositive"}}),
+    (
+        "g=0;d=3,4,4",
+        f"not-dense ExceptionalSet\nnote: {OCTAHEDRAL_NOTE}\n",
+        {"reason": {"kind": "ExceptionalSet"}, "note": OCTAHEDRAL_NOTE},
+    ),
+    (
+        "g=0;d=2,3,7",
+        "dense TriangleWitness a=(1,1,2)\n",
+        {"reason": {"kind": "TriangleWitness", "angles": [1, 1, 2]}},
+    ),
+    (
+        "g=0;d=5,5,5",
+        "dense IndexTwoRealization parent=g=0;d=2,5,10\n",
+        {"reason": {"kind": "IndexTwoRealization", "parent": "g=0;d=2,5,10"}},
+    ),
+    (
+        "g=0;d=2,2,2,3",
+        "dense InductiveReduction retained=(2,2,7) split=(2,3,7) d=7\n",
+        {"reason": {
+            "kind": "InductiveReduction", "retained": [2, 2, 7], "split": [2, 3, 7],
+            "auxiliary": 7,
+        }},
+    ),
+]
+
+
+def test_density_bytes_per_reason_kind(capsys):
+    for signature, text, tail in DENSITY_BYTES:
+        assert run(capsys, "density", signature) == (0, text, ""), signature
+        expected = {
+            "schema": 1, "command": "density", "presentation": signature,
+            "dense": not text.startswith("not-dense"), **tail,
+        }
+        # json.dumps keeps the literal's key order, so this pins every byte
+        out = json.dumps(expected, indent=2) + "\n"
+        assert run(capsys, "density", signature, "--format", "json") == (0, out, ""), signature
+
+
 def test_triangle_witness(capsys):
     code, out, _ = run(capsys, "triangle-witness", "2", "3", "7")
     assert (code, out) == (0, "1,1,2\n")
@@ -134,6 +179,9 @@ def test_verify_appendix(capsys):
 
 
 def test_tables(capsys):
+    code, out, _ = run(capsys, "tables", "defect", "--format", "json")
+    head = ['{', '  "schema": 1,', '  "command": "tables",', '  "table": "defect",']
+    assert code == 0 and out.splitlines()[:4] == head
     code, out, _ = run(capsys, "tables", "tminusdim", "--format", "json")
     obj = json.loads(out)
     cells = obj["cells"]

@@ -23,7 +23,7 @@ from repvar.density import (
     strict_triangle,
     triangle_witness,
 )
-from repvar.presentation import FuchsianPresentation
+from repvar.presentation import FuchsianPresentation, NonHyperbolicError
 
 
 def test_strict_triangle_examples():
@@ -296,8 +296,18 @@ def test_reduction_without_auxiliary_raises(monkeypatch):
 
 
 def test_verdict_consistency():
-    assert not is_so3_dense(FuchsianPresentation(0, (2, 6, 10))).dense
-    # the dense flag and the ExceptionalSet reason are tied together
-    with pytest.raises(ValueError):
-        from repvar.density import DensityVerdict
-        DensityVerdict(True, ExceptionalSet())
+    # dense is false exactly on the ExceptionalSet branch, over every
+    # hyperbolic signature with genus <= 2, up to five periods from 2..8
+    kinds = set()
+    for genus in range(3):
+        for m in range(6):
+            for periods in itertools.combinations_with_replacement(range(2, 9), m):
+                try:
+                    p = FuchsianPresentation(genus, periods)
+                except NonHyperbolicError:
+                    continue
+                verdict = is_so3_dense(p)
+                kinds.add(type(verdict.reason))
+                assert verdict.dense == (not isinstance(verdict.reason, ExceptionalSet))
+                assert verdict.dense == (genus > 0 or periods not in EXCEPTIONAL_SET), p
+    assert len(kinds) == 5

@@ -41,14 +41,14 @@ def _all_systems(max_rank):
 
 
 def test_eigenprofile_invariants():
-    p = EigenProfile(3, (1, 1, 1), real=True)
-    assert p.dim == 3
+    p = EigenProfile((1, 1, 1), real=True)
+    assert (p.order, p.dim) == (3, 3)
     with pytest.raises(ValueError):
-        EigenProfile(3, (1, 1))
+        EigenProfile(())
     with pytest.raises(ValueError):
-        EigenProfile(3, (1, -1, 1))
+        EigenProfile((1, -1, 1))
     with pytest.raises(ValueError):
-        EigenProfile(4, (1, 2, 0, 1), real=True)  # not self-dual
+        EigenProfile((1, 2, 0, 1), real=True)  # not self-dual
 
 
 def test_principal_fixed_dim_examples():
@@ -132,10 +132,10 @@ def test_perm_std_eigenprofile_examples():
 
 def test_exterior_square_fixed_dim_examples():
     for v in range(2, 9):
-        ident = EigenProfile(1, (v,))
+        ident = EigenProfile((v,))
         assert exterior_square_fixed_dim(ident) == v * (v - 1) // 2
-    assert exterior_square_fixed_dim(EigenProfile(3, (0, 1, 1))) == 1
-    assert exterior_square_fixed_dim(EigenProfile(2, (1, 2))) == 1
+    assert exterior_square_fixed_dim(EigenProfile((0, 1, 1))) == 1
+    assert exterior_square_fixed_dim(EigenProfile((1, 2))) == 1
 
 
 def test_exterior_square_matches_character_oracle_exhaustively():
@@ -149,10 +149,10 @@ def test_exterior_square_matches_character_oracle_exhaustively():
 
 def test_su_centralizer_dim_examples():
     for n in range(2, 8):
-        assert su_centralizer_dim(EigenProfile(1, (n,))) == n * n - 1
-        regular = EigenProfile(n, tuple([1] * n))
+        assert su_centralizer_dim(EigenProfile((n,))) == n * n - 1
+        regular = EigenProfile((1,) * n)
         assert su_centralizer_dim(regular) == n - 1
-    assert su_centralizer_dim(EigenProfile(2, (1, 2))) == 4
+    assert su_centralizer_dim(EigenProfile((1, 2))) == 4
 
 
 def test_su_centralizer_cauchy_schwarz_bound():
@@ -168,7 +168,7 @@ def test_su_centralizer_cauchy_schwarz_bound():
     rng = random.Random(424242)
     for _ in range(300):
         k = rng.randint(1, 12)
-        profiles.append(EigenProfile(k, tuple(rng.randint(0, 6) for _ in range(k))))
+        profiles.append(EigenProfile(tuple(rng.randint(0, 6) for _ in range(k))))
     for p in profiles:
         if p.dim < 2:
             continue

@@ -44,7 +44,31 @@ def test_exports_resolve_to_their_module_attributes():
     assert not hasattr(repvar, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         repvar.no_such_name
-    assert repvar.SCHEMA is repvar.report.SCHEMA
+
+
+STDLIB_PROBE = """\
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import repvar
+names = [m.name for m in pkgutil.iter_modules(repvar.__path__) if m.name != "__main__"]
+for name in names:
+    importlib.import_module("repvar." + name)
+print(" ".join(names))
+print(" ".join(sorted({k.split(".")[0] for k in set(sys.modules) - before})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # README promises no runtime dependencies.  Site .pth files load some
+    # third-party modules before any import, so only what repvar adds counts;
+    # __main__ is skipped because importing it runs the CLI.
+    out = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE], capture_output=True, text=True, check=True,
+    ).stdout
+    submodules, added = (line.split() for line in out.splitlines())
+    assert {"cli", "density", "eigen", "liedata", "permgrp", "report"} <= set(submodules)
+    assert "repvar" in added
+    assert [m for m in added if m != "repvar" and m not in sys.stdlib_module_names] == []
 
 
 PROBE = """\

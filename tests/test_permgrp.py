@@ -252,8 +252,7 @@ def test_entry_group_orders_exact():
 def test_broken_entry_reports_false_flags():
     entry = entry_by_label("2,6,6")
     broken = AppendixEntry(
-        entry.label, entry.periods, entry.degree,
-        entry.x1, entry.x2, identity_perm(entry.degree),
+        entry.periods, entry.degree, entry.x1, entry.x2, identity_perm(entry.degree),
     )
     report = verify_appendix_entry(broken)
     assert not report.product_is_identity

@@ -103,6 +103,6 @@ def test_table_rendering():
     assert lines[0].split() == ["defect", *COLUMNS]
     assert "-7/2" in lines[1]
     obj = table_json_obj(table)
-    assert obj["schema"] == 1
+    assert list(obj) == ["table", "rows", "cols", "cells"]
     assert obj["cells"][0][3] == "-4"  # (n=2, E8)
     assert obj["cells"][3][4] == "8/5"  # (n=5, F4)
