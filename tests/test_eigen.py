@@ -41,14 +41,16 @@ def _all_systems(max_rank):
 
 
 def test_eigenprofile_invariants():
-    p = EigenProfile((1, 1, 1), real=True)
-    assert (p.order, p.dim) == (3, 3)
+    p = EigenProfile((1, 1, 1))
+    assert (p.order, p.dim, p.real) == (3, 3, True)
     with pytest.raises(ValueError):
         EigenProfile(())
     with pytest.raises(ValueError):
         EigenProfile((1, -1, 1))
-    with pytest.raises(ValueError):
-        EigenProfile((1, 2, 0, 1), real=True)  # not self-dual
+    assert not EigenProfile((1, 2, 0, 1)).real  # m_1 != m_3
+    assert [EigenProfile(m).real for m in ((4,), (1, 2), (0, 1, 2), (2, 1, 5, 1))] == [
+        True, True, False, True
+    ]
 
 
 def test_principal_fixed_dim_examples():
@@ -143,8 +145,9 @@ def test_exterior_square_matches_character_oracle_exhaustively():
     for degree in range(1, 11):
         for cycle_type in partitions(degree):
             x = class_to_permutation(cycle_type)
-            closed = exterior_square_fixed_dim(perm_std_eigenprofile(x))
-            assert closed == ext_square_fixed_oracle(x), cycle_type
+            profile = perm_std_eigenprofile(x)
+            assert profile.real, cycle_type  # a permutation is conjugate to its inverse
+            assert exterior_square_fixed_dim(profile) == ext_square_fixed_oracle(x), cycle_type
 
 
 def test_su_centralizer_dim_examples():
