@@ -120,12 +120,12 @@ def _cmd_upper_bound(args) -> int:
 
     p = parse_presentation(args.presentation)
     token = args.group
-    try:
-        rs = parse_root_system(token)
-        dim, rank, label = dimension(rs), rs.rank, rs.label()
-    except ValueError:
+    if token.strip().startswith("S"):  # SO(n) or SU(n); the root systems are A..G
         g = parse_classical_group(token)
         dim, rank, label = classical_dim(g), classical_rank(g), str(g)
+    else:
+        rs = parse_root_system(token)
+        dim, rank, label = dimension(rs), rs.rank, rs.label()
     bound = upper_bound(p, dim, rank)
     _emit(
         args, f"{bound}\n", presentation=p.text(), group=label,

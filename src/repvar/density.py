@@ -163,51 +163,34 @@ def interval_coprime(d: int, case: int) -> Optional[int]:
     Case 1: 1/4 <= a/d <= 1/2 (equality only for d in {2,4}); fails only at
     d = 6.  Case 2: 1/3 <= a/d <= 1/2 (equality only for d in {2,3}); fails
     only at d in {4,6,10}.  Case 3: 1/12 < a/d < 4/15 (boundary allowed only
-    at d = 12); fails only at d in {2,3,18}.  The returned value is the
-    closed-form witness (d-1)/2, (d-4)/2 or (d-2)/2 by d mod 4 for cases 1
-    and 2, and (d-b)/6 with b tabulated mod 36 for case 3, with the handful
-    of small d handled directly; it need not be the least valid numerator.
+    at d = 12); fails only at d in {2,3,18}.
+
+    Each case tries a few candidates in order of preference and returns the
+    first that is coprime to d and inside the range.  Cases 1 and 2 return
+    the greatest valid numerator: (d-1)/2 for odd d, d/2 - 1 for d = 0 mod 4
+    and d/2 - 2 for d = 2 mod 4 are coprime to d, so it is the top of the
+    range or one below.  Case 3 returns the valid numerator nearest to d/6,
+    the lower one on a tie: since gcd(a, d) = gcd(a, d - 6a), some a with
+    |d - 6a| <= 12 is coprime to d, and the five candidates include each such a.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if case not in _CASE_BOUNDS:
         raise ValueError("case must be 1, 2 or 3")
-    if case in (1, 2):
-        if d == 2 or (case == 2 and d == 3):
-            a = 1
-        else:
-            a = _case12_formula(d)
-    else:
-        a = 1 if d == 6 else _case3_formula(d)
     lo_num, lo_den, hi_num, hi_den, boundary_ds = _CASE_BOUNDS[case]
     first, last = _numerator_range(d, lo_num, lo_den, hi_num, hi_den, d not in boundary_ds)
-    return a if a is not None and first <= a <= last and gcd(a, d) == 1 else None
-
-
-def _case12_formula(d: int) -> int:
-    if d % 2 == 1:
-        return (d - 1) // 2
-    if d % 4 == 2:
-        return (d - 4) // 2
-    return (d - 2) // 2
-
-
-# case 3 offsets b keyed on (d mod 4 for even d, else "odd") and d mod 9
-_CASE3_B = {
-    (2, 3): -12, (2, 2): -4, (2, 5): -4, (2, 8): -4,
-    (2, 1): 4, (2, 4): 4, (2, 7): 4, (2, 0): 12, (2, 6): 12,
-    (0, 6): -6, (0, 1): -2, (0, 4): -2, (0, 7): -2,
-    (0, 2): 2, (0, 5): 2, (0, 8): 2, (0, 0): 6, (0, 3): 6,
-    (1, 3): -3, (1, 2): -1, (1, 5): -1, (1, 8): -1,
-    (1, 1): 1, (1, 4): 1, (1, 7): 1, (1, 0): 3, (1, 6): 3,
-}
-
-
-def _case3_formula(d: int) -> Optional[int]:
-    b = _CASE3_B[(d % 4 if d % 2 == 0 else 1, d % 9)]
-    if (d - b) % 6 != 0:
-        return None
-    return (d - b) // 6
+    if case in (1, 2):
+        candidates = (last, last - 1)
+    else:
+        # d/6 rounded half down, then outward alternately from the side d/6
+        # lies on (the lower side when d/6 is whole): nearest first, ties lower
+        a0 = (d + 2) // 6
+        s = 1 if 6 * a0 < d else -1
+        candidates = (a0, a0 + s, a0 - s, a0 + 2 * s, a0 - 2 * s)
+    for a in candidates:
+        if first <= a <= last and gcd(a, d) == 1:
+            return a
+    return None
 
 
 def scan_hyperbolic_triples(dmax: int) -> list[tuple[int, int, int]]:

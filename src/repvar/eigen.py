@@ -109,7 +109,8 @@ def perm_from_cycles(text: str, degree: int) -> Permutation:
     or an empty string is the identity.
     """
     stripped = text.strip()
-    if not re.fullmatch(r"(\s*\(\s*(\d+[\s,]*)*\))*\s*", stripped):
+    # one digit opens each cycle body, so a long digit run has a single parse
+    if not re.fullmatch(r"(?:\s*\(\s*(?:\d[\d\s,]*)?\))*\s*", stripped):
         raise ValueError(f"cannot parse cycle notation {text!r}")
     images = list(range(1, degree + 1))
     touched: set[int] = set()

@@ -4,11 +4,12 @@ Each oracle deliberately takes a different computational route from the
 implementation it cross-checks: fixed spaces on the exterior square go
 through the character average rather than pair counting, group orders go
 through brute-force product closure or sympy's permutation groups rather
-than repvar's stabilizer chain, interval representatives go through
-smallest-numerator search with pure integer inequalities rather than the
-closed-form construction, triangle witnesses go through a plain triple
-loop rather than one interval query per numerator pair, and Lie algebra
-dimensions go through the per-family closed forms rather than the exponents.
+than repvar's stabilizer chain, interval representatives go through a
+smallest-numerator scan and through closed forms in d mod 4 and d mod 36,
+both checked with pure integer inequalities, rather than candidates filtered
+by repvar's numerator range, triangle witnesses go through a plain triple loop rather than one interval
+query per numerator pair, and Lie algebra dimensions go through the
+per-family closed forms rather than the exponents.
 
 The permutation helpers at the top (identity, inverse, power, a canonical
 permutation of a cycle type) are used only by tests and the oracles.
@@ -112,29 +113,65 @@ def sympy_group(gens: list[Permutation], queries: list[Permutation]) -> tuple[in
     return int(group.order()), [bool(group.contains(convert(q))) for q in queries]
 
 
-def smallest_interval_numerator(d: int, case: int) -> int | None:
-    """Least coprime numerator in the case interval, by direct scan.
+def _in_case_interval(a: int, d: int, case: int) -> bool:
+    """Interval membership with integer cross-multiplication only.
 
-    Interval membership is phrased with integer cross-multiplication only:
-    case 1 is d <= 4a and 2a <= d, case 2 is d <= 3a and 2a <= d, case 3 is
+    Case 1 is d <= 4a and 2a <= d, case 2 is d <= 3a and 2a <= d, case 3 is
     d < 12a and 15a < 4d, with the boundary cases allowed exactly for
     d in {2,4} / {2,3} / {12}.
     """
-    for a in range(1, d + 1):
-        if gcd(a, d) != 1:
-            continue
-        if case == 1:
-            inside = d < 4 * a and 2 * a < d
-            boundary = (d == 4 * a or 2 * a == d) and d in (2, 4)
-        elif case == 2:
-            inside = d < 3 * a and 2 * a < d
-            boundary = (d == 3 * a or 2 * a == d) and d in (2, 3)
+    if case == 1:
+        inside = d < 4 * a and 2 * a < d
+        boundary = (d == 4 * a or 2 * a == d) and d in (2, 4)
+    elif case == 2:
+        inside = d < 3 * a and 2 * a < d
+        boundary = (d == 3 * a or 2 * a == d) and d in (2, 3)
+    else:
+        inside = d < 12 * a and 15 * a < 4 * d
+        boundary = (d == 12 * a or 15 * a == 4 * d) and d == 12
+    return inside or boundary
+
+
+def smallest_interval_numerator(d: int, case: int) -> int | None:
+    """Least coprime numerator in the case interval, by direct scan."""
+    return next(
+        (a for a in range(1, d + 1) if gcd(a, d) == 1 and _in_case_interval(a, d, case)), None
+    )
+
+
+# case 3 offsets b keyed on (d mod 4 for even d, else "odd") and d mod 9
+_CASE3_B = {
+    (2, 3): -12, (2, 2): -4, (2, 5): -4, (2, 8): -4,
+    (2, 1): 4, (2, 4): 4, (2, 7): 4, (2, 0): 12, (2, 6): 12,
+    (0, 6): -6, (0, 1): -2, (0, 4): -2, (0, 7): -2,
+    (0, 2): 2, (0, 5): 2, (0, 8): 2, (0, 0): 6, (0, 3): 6,
+    (1, 3): -3, (1, 2): -1, (1, 5): -1, (1, 8): -1,
+    (1, 1): 1, (1, 4): 1, (1, 7): 1, (1, 0): 3, (1, 6): 3,
+}
+
+
+def closed_form_interval_numerator(d: int, case: int) -> int | None:
+    """Interval representative by closed forms, kept only if it is valid.
+
+    Cases 1 and 2 take (d-1)/2, (d-4)/2 or (d-2)/2 by d mod 4; case 3 takes
+    (d-b)/6 with the offset b tabulated on d mod 4 (even d) and d mod 9.
+    d = 2 (cases 1, 2), d = 3 (case 2) and d = 6 (case 3) take 1 directly.
+    """
+    if case in (1, 2):
+        if d == 2 or (case == 2 and d == 3):
+            a = 1
+        elif d % 2 == 1:
+            a = (d - 1) // 2
+        elif d % 4 == 2:
+            a = (d - 4) // 2
         else:
-            inside = d < 12 * a and 15 * a < 4 * d
-            boundary = (d == 12 * a or 15 * a == 4 * d) and d == 12
-        if inside or boundary:
-            return a
-    return None
+            a = (d - 2) // 2
+    elif d == 6:
+        a = 1
+    else:
+        b = _CASE3_B[(d % 4 if d % 2 == 0 else 1, d % 9)]
+        a = (d - b) // 6 if (d - b) % 6 == 0 else None
+    return a if a is not None and gcd(a, d) == 1 and _in_case_interval(a, d, case) else None
 
 
 def least_triangle_witness(d1: int, d2: int, d3: int, strict: bool) -> tuple[int, int, int] | None:

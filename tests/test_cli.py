@@ -72,12 +72,32 @@ def test_z1_alternating(capsys, tmp_path):
     assert obj["z1"] == obj["so_dim"] + obj["margin"]
 
 
+def test_triple_file_with_long_malformed_cycle_line(capsys, tmp_path):
+    triple = tmp_path / "triple.txt"
+    lines = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()
+    lines[1] = "(" + "1" * 10_000 + ")("
+    triple.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: cannot parse cycle notation")
+
+
 def test_upper_bound(capsys):
     code, out, _ = run(capsys, "upper-bound", "g=0;d=2,3,7", "G2")
     assert (code, out) == (0, "85/3\n")
     code, out, _ = run(capsys, "upper-bound", "g=2;d=", "SO(13)", "--format", "json")
     obj = json.loads(out)
     assert obj["dim"] == 78 and obj["rank"] == 6
+    # a token starting with S is a classical group, anything else a root
+    # system, so a bad rank is reported as such
+    for group, message in (
+        ("A0", "A_n needs rank >= 1"),
+        ("SO(1)", "n must be >= 2, got 1"),
+        ("E9", "cannot parse root system 'E9'"),
+    ):
+        code, out, err = run(capsys, "upper-bound", "g=0;d=2,3,7", group)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), group
 
 
 def test_density(capsys):

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import EXCEPTIONAL_SET, INTERVAL_EXCEPTIONS, WITNESS_FAILURES
-from oracles import least_triangle_witness, smallest_interval_numerator
+from oracles import (
+    closed_form_interval_numerator,
+    least_triangle_witness,
+    smallest_interval_numerator,
+)
 from repvar import density
 from repvar.density import (
     ExceptionalSet,
@@ -178,7 +182,7 @@ _BOUNDARY_DS = {1: {2, 4}, 2: {2, 3}, 3: {12}}
 
 def test_coprime_in_interval_matches_interval_oracle():
     # off the boundary d the strict query is the least valid numerator, and
-    # the closed form comes back empty exactly when the query does
+    # interval_coprime comes back empty exactly when the query does
     for case, bounds in _CASE_BOUNDS.items():
         for d in range(2, 2001):
             if d in _BOUNDARY_DS[case]:
@@ -196,6 +200,8 @@ def test_interval_coprime_examples():
     assert interval_coprime(2, 2) == 1
     assert interval_coprime(3, 2) == 1
     assert interval_coprime(6, 3) == 1
+    assert interval_coprime(9, 3) == 1  # 1/9 and 2/9 tie around 1/6; the lower wins
+    assert interval_coprime(42, 3) == 5  # 6, 7 and 8 share factors with 42
     for d in (4, 6, 10):
         assert interval_coprime(d, 2) is None
     for d in (2, 3, 18):
@@ -206,13 +212,12 @@ def test_interval_coprime_examples():
         interval_coprime(7, 4)
 
 
-def test_interval_coprime_checks_its_closed_form(monkeypatch):
-    # a closed-form value is returned only once checked: 4/15 is coprime but
-    # sits on case 3's upper bound, which only d = 12 may touch
-    monkeypatch.setattr(density, "_case3_formula", lambda d: 4)
-    assert interval_coprime(15, 3) is None
-    assert interval_coprime(13, 3) is None  # 4/13 lies past 4/15
-    assert interval_coprime(17, 3) == 4
+def test_interval_coprime_matches_closed_form():
+    # every residue mod 36 many times over, then far out; the closed forms
+    # hold the values the greatest- and nearest-numerator rules must return
+    for case in (1, 2, 3):
+        for d in [*range(2, 3001), *range(10**20, 10**20 + 200)]:
+            assert interval_coprime(d, case) == closed_form_interval_numerator(d, case), (case, d)
 
 
 def test_interval_coprime_agrees_with_search_oracle():

@@ -1,4 +1,7 @@
+import itertools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +117,32 @@ def test_cycle_parsing_and_rendering():
         perm_from_cycles("(1 9)", 4)  # out of range
     with pytest.raises(ValueError):
         perm_from_cycles("1 2 3", 4)  # no cycle syntax
+
+
+# the cycle-notation pattern before it was made linear; it nests two stars
+_NESTED_CYCLE_PATTERN = r"(\s*\(\s*(\d+[\s,]*)*\))*\s*"
+
+
+def test_cycle_pattern_accepts_what_the_nested_pattern_accepted():
+    # every string of length <= 7 over these characters: 335,923 inputs
+    alphabet = "() 1,x"
+    for length in range(8):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            try:
+                perm_from_cycles(text, 20)
+                parsed = True
+            except ValueError as exc:
+                parsed = not str(exc).startswith("cannot parse cycle notation")
+            assert parsed == bool(re.fullmatch(_NESTED_CYCLE_PATTERN, text.strip())), text
+
+
+def test_long_malformed_cycle_line_fails_fast():
+    # the nested pattern backtracked exponentially on a digit run like this
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot parse cycle notation"):
+        perm_from_cycles("(" + "1" * 10_000 + ")(", 20)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_perm_std_eigenprofile_examples():

@@ -1,4 +1,4 @@
-"""Best-of-3 times of the hyperbolic-triple scan, as one JSON object.
+"""Best-of-3 times of the triple scan and of the interval sweep, as one JSON object.
 
 Run from the root of a repvar checkout:
 
@@ -6,7 +6,10 @@ Run from the root of a repvar checkout:
 
 For each dmax in 40, 60, 120 and 200 it times
 ``density.scan_hyperbolic_triples(dmax)`` three times.  Each entry is
-[best milliseconds, number of triples with no strict witness].
+[best milliseconds, number of triples with no strict witness].  The
+"interval" entry times ``density.interval_coprime(d, case)`` for every d in
+2000..3499 and each case 1, 2, 3 the same way, as [best milliseconds, number
+of None results].
 """
 
 from __future__ import annotations
@@ -15,22 +18,34 @@ import json
 import platform
 from time import perf_counter
 
-from repvar.density import scan_hyperbolic_triples
+from repvar.density import interval_coprime, scan_hyperbolic_triples
 
 REPS = 3
 
 
-def best_of(dmax: int) -> list:
+def best_of(run) -> list:
+    """[best milliseconds over REPS calls of run(), the size of its result]."""
     times = []
     for _ in range(REPS):
         start = perf_counter()
-        failures = scan_hyperbolic_triples(dmax)
+        result = run()
         times.append(perf_counter() - start)
-    return [round(min(times) * 1e3, 1), len(failures)]
+    return [round(min(times) * 1e3, 1), len(result)]
+
+
+def interval_misses() -> list:
+    return [
+        (d, case) for d in range(2000, 3500) for case in (1, 2, 3)
+        if interval_coprime(d, case) is None
+    ]
 
 
 if __name__ == "__main__":
     print(json.dumps({
         "python": platform.python_version(),
-        "scan": {str(dmax): best_of(dmax) for dmax in (40, 60, 120, 200)},
+        "scan": {
+            str(dmax): best_of(lambda: scan_hyperbolic_triples(dmax))
+            for dmax in (40, 60, 120, 200)
+        },
+        "interval": best_of(interval_misses),
     }))
