@@ -97,7 +97,7 @@ def _cmd_z1_alternating(args) -> int:
             entry = parse_entry_text(handle.read())
         if entry.degree != degree:
             raise ValueError(f"triple file degree {entry.degree} != --degree {degree}")
-        generators = list(entry.generators)
+        generators = entry.generators
         source = os.path.basename(args.triple)
     else:
         generators = [balanced_class(degree, d) for d in p.periods]
@@ -217,7 +217,7 @@ def _flag(b: bool) -> str:
 def _cmd_verify_appendix(args) -> int:
     from .permgrp import APPENDIX_ENTRIES, entry_by_label, verify_appendix_entry
 
-    entries = [entry_by_label(args.entry)] if args.entry else APPENDIX_ENTRIES
+    entries = [entry_by_label(args.entry)] if args.entry is not None else APPENDIX_ENTRIES
     reports = [verify_appendix_entry(e) for e in entries]
     all_ok = all(r.ok for r in reports)
     lines = [
@@ -260,6 +260,8 @@ def _cmd_tables(args) -> int:
         text = "  ".join(f"{c}={v}" for c, v in zip(COLUMNS, values)) + "\n"
         _emit(args, text, table="genus0", m=args.m, cols=list(COLUMNS), values=list(values))
         return 0
+    if args.m is not None:
+        raise ValueError(f"tables {args.table} takes no --m (only genus0 does)")
     table = defect_table() if args.table == "defect" else tminusdim_table()
     _emit(args, render_table_text(table), **table_json_obj(table))
     return 0

@@ -1,7 +1,9 @@
 """Static data for simple root systems and the compact classical groups.
 
-Exponents are generated from the classical closed forms per family rather
-than derived from root-system combinatorics, and they define the dimension:
+Every root system is family letter + rank, for all nine families, as the
+paper writes them: A5, B12, E8, G2.  Exponents are generated from the
+classical closed forms per family rather than derived from root-system
+combinatorics, and they define the dimension:
 
     dim G = sum_i (2 e_i + 1)
 
@@ -14,38 +16,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
+# the exceptional systems, the only valid (letter, rank) pairs of E, F and G
 _EXCEPTIONAL_EXPONENTS = {
-    "E6": (1, 4, 5, 7, 8, 11),
-    "E7": (1, 5, 7, 9, 11, 13, 17),
-    "E8": (1, 7, 11, 13, 17, 19, 23, 29),
-    "F4": (1, 5, 7, 11),
-    "G2": (1, 5),
+    ("E", 6): (1, 4, 5, 7, 8, 11),
+    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+    ("F", 4): (1, 5, 7, 11),
+    ("G", 2): (1, 5),
 }
-
-EXCEPTIONAL_RANK = {f: len(exps) for f, exps in _EXCEPTIONAL_EXPONENTS.items()}
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A simple root system: classical family letter + rank, or E6..G2."""
+    """A simple root system: family letter + rank for all nine families."""
 
     family: str
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family in EXCEPTIONAL_RANK:
-            if self.rank != EXCEPTIONAL_RANK[self.family]:
-                raise ValueError(f"{self.family} has rank {EXCEPTIONAL_RANK[self.family]}")
-        elif self.family in _MIN_RANK:
+        if self.family in _MIN_RANK:
             if self.rank < _MIN_RANK[self.family]:
                 raise ValueError(f"{self.family}_n needs rank >= {_MIN_RANK[self.family]}")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        elif (self.family, self.rank) not in _EXCEPTIONAL_EXPONENTS:
+            raise ValueError(f"no simple root system {self.family}{self.rank}")
 
     def label(self) -> str:
-        return self.family if self.family in EXCEPTIONAL_RANK else f"{self.family}{self.rank}"
+        return f"{self.family}{self.rank}"
 
     def __str__(self) -> str:
         return self.label()
@@ -64,7 +62,7 @@ def exponents(rs: RootSystem) -> tuple[int, ...]:
         return tuple(range(1, 2 * n, 2))
     if f == "D":
         return tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1]))
-    return _EXCEPTIONAL_EXPONENTS[f]
+    return _EXCEPTIONAL_EXPONENTS[f, n]
 
 
 def dimension(rs: RootSystem) -> int:
@@ -108,7 +106,8 @@ def classical_rank(g: ClassicalGroup) -> int:
     return g.n - 1
 
 
-_RS_RE = re.compile(r"^([ABCD])(\d+)$|^(E6|E7|E8|F4|G2)$")
+# a classical letter takes any digits; E, F and G only their own ranks
+_RS_RE = re.compile(r"^([ABCD]|E(?=[678]$)|F(?=4$)|G(?=2$))(\d+)$")
 _CG_RE = re.compile(r"^(SO|SU)\((\d+)\)$")
 
 
@@ -117,8 +116,6 @@ def parse_root_system(text: str) -> RootSystem:
     m = _RS_RE.match(text.strip())
     if m is None:
         raise ValueError(f"cannot parse root system {text!r}")
-    if m.group(3):
-        return RootSystem(m.group(3), EXCEPTIONAL_RANK[m.group(3)])
     return RootSystem(m.group(1), int(m.group(2)))
 
 

@@ -21,7 +21,8 @@ for why that is exact.  Generating sets of A_n and S_n, the shipped triples
 among them, stop there; smaller groups close by the full test.
 
 ``APPENDIX_ENTRIES`` holds the six triples of even permutations, one per
-non-SO(3)-dense signature, parsed from their printed cycle notation.  The
+non-SO(3)-dense signature, stored in the triple-file format that
+``parse_entry_text`` reads, with the printed cycle lines verbatim.  The
 product convention is function composition: x1*x2*x3 applies x3 first.
 """
 
@@ -232,7 +233,7 @@ def generates_alternating(gens: Sequence[Permutation], n: int) -> bool:
 
 @dataclass(frozen=True)
 class AppendixEntry:
-    """A labelled triple (x1, x2, x3) of permutations for one signature.
+    """A labelled triple ``generators = (x1, x2, x3)`` for one signature.
 
     The shipped entries satisfy x1*x2*x3 = 1 with orders matching the label's
     periods; arbitrary entries may violate that, which
@@ -241,17 +242,11 @@ class AppendixEntry:
 
     periods: tuple[int, int, int]
     degree: int
-    x1: Permutation
-    x2: Permutation
-    x3: Permutation
+    generators: tuple[Permutation, Permutation, Permutation]
 
     @property
     def label(self) -> str:
         return "%d,%d,%d" % self.periods
-
-    @property
-    def generators(self) -> tuple[Permutation, Permutation, Permutation]:
-        return (self.x1, self.x2, self.x3)
 
 
 @dataclass(frozen=True)
@@ -292,19 +287,20 @@ def verify_appendix_entry(entry: AppendixEntry) -> AppendixReport:
     representation minus dim SO(degree - 1); failures show up as false flags
     in the report, never as exceptions.
     """
-    product = perm_compose(perm_compose(entry.x1, entry.x2), entry.x3)
+    x1, x2, x3 = entry.generators
+    product = perm_compose(perm_compose(x1, x2), x3)
     orders = tuple(
         perm_order(x) == d for x, d in zip(entry.generators, entry.periods)
     )
     even = tuple(perm_parity(x) == "even" for x in entry.generators)
-    gen_alt = generates_alternating(list(entry.generators), entry.degree)
+    gen_alt = generates_alternating(entry.generators, entry.degree)
     # the positivity figure needs order-faithful generators and a hyperbolic
     # label; a broken entry reports z1 = 0 so its margin flag reads false
     z1 = 0
     if all(orders):
         try:
             pres = FuchsianPresentation(0, entry.periods)
-            z1 = z1_dim_alternating_so(pres, list(entry.generators), entry.degree)
+            z1 = z1_dim_alternating_so(pres, entry.generators, entry.degree)
         except ValueError:
             z1 = 0
     return AppendixReport(
@@ -344,58 +340,42 @@ def parse_entry_text(text: str) -> AppendixEntry:
         raise ValueError(f"bad header {header!r}") from None
     if len(periods) != 3:
         raise ValueError("entries carry exactly three periods")
-    return _entry(periods, degree, *lines[1:])
+    generators = tuple(perm_from_cycles(line, degree) for line in lines[1:])
+    return AppendixEntry(periods, degree, generators)
 
 
-def _entry(periods: tuple[int, int, int], degree: int, c1: str, c2: str, c3: str) -> AppendixEntry:
-    return AppendixEntry(
-        periods=periods,
-        degree=degree,
-        x1=perm_from_cycles(c1, degree),
-        x2=perm_from_cycles(c2, degree),
-        x3=perm_from_cycles(c3, degree),
-    )
+# the six certified triples, in printed order, cycle lines verbatim
+APPENDIX_ENTRIES: tuple[AppendixEntry, ...] = tuple(map(parse_entry_text, """
+gamma=2,4,6;degree=14
+(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)
+(1 10 9 8)(2 14 13 3)(4 5)(6 7 12 11)
+(1 3 5 11 7 9)(2 8 6 4 13 14)
 
+gamma=2,6,6;degree=14
+(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)
+(1 14 8 7 4 2)(3 5 13 11 9 6)
+(1 4 6 3 7 14)(5 9 10 11 12 13)
 
-# the six certified triples, in printed order, cycle notation verbatim
-APPENDIX_ENTRIES: tuple[AppendixEntry, ...] = (
-    _entry(
-        (2, 4, 6), 14,
-        "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)",
-        "(1 10 9 8)(2 14 13 3)(4 5)(6 7 12 11)",
-        "(1 3 5 11 7 9)(2 8 6 4 13 14)",
-    ),
-    _entry(
-        (2, 6, 6), 14,
-        "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)",
-        "(1 14 8 7 4 2)(3 5 13 11 9 6)",
-        "(1 4 6 3 7 14)(5 9 10 11 12 13)",
-    ),
-    _entry(
-        (3, 6, 6), 12,
-        "(1 2 3)(4 5 6)(7 8 9)(10 11 12)",
-        "(1 12 11 6 2 3)(4 10 8 9 5 7)",
-        "(1 2 3 6 9 10)(4 11)(5 7 8)",
-    ),
-    _entry(
-        (3, 4, 4), 14,
-        "(1 2 3)(4 5 6)(7 8 9)(10 11 12)",
-        "(1 14 11 12)(2 3 4 5)(7 10 13 9)(6 8)",
-        "(1 2 12 14)(3 5)(4 8 9 6)(7 13 10 11)",
-    ),
-    _entry(
-        (2, 6, 10), 12,
-        "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)",
-        "(1 8 6 7 5 3)(4 10 11)(9 12)",
-        "(1 2 3 11 9 4 5 8 6 7)(10 12)",
-    ),
-    _entry(
-        (4, 6, 12), 12,
-        "(1 4 3 2)(5 8 7 6)(9 10)(11 12)",
-        "(1 2 5 9 10 3)(4 7 11 8 6 12)",
-        "(2 10 5 8)(3 12 7 11 6 4)",
-    ),
-)
+gamma=3,6,6;degree=12
+(1 2 3)(4 5 6)(7 8 9)(10 11 12)
+(1 12 11 6 2 3)(4 10 8 9 5 7)
+(1 2 3 6 9 10)(4 11)(5 7 8)
+
+gamma=3,4,4;degree=14
+(1 2 3)(4 5 6)(7 8 9)(10 11 12)
+(1 14 11 12)(2 3 4 5)(7 10 13 9)(6 8)
+(1 2 12 14)(3 5)(4 8 9 6)(7 13 10 11)
+
+gamma=2,6,10;degree=12
+(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)
+(1 8 6 7 5 3)(4 10 11)(9 12)
+(1 2 3 11 9 4 5 8 6 7)(10 12)
+
+gamma=4,6,12;degree=12
+(1 4 3 2)(5 8 7 6)(9 10)(11 12)
+(1 2 5 9 10 3)(4 7 11 8 6 12)
+(2 10 5 8)(3 12 7 11 6 4)
+""".split("\n\n")))
 
 
 def entry_by_label(label: str) -> AppendixEntry:

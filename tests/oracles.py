@@ -206,7 +206,7 @@ def lie_dimension(family: str, n: int) -> int:
         return 2 * n * n + n
     if family == "D":
         return 2 * n * n - n
-    return _EXCEPTIONAL_DIMENSIONS[family]
+    return _EXCEPTIONAL_DIMENSIONS[f"{family}{n}"]
 
 
 def partitions(n: int):

@@ -61,8 +61,8 @@ from repvar.presentation import FuchsianPresentation
 from repvar.report import COLUMNS, defect_table, genus0_all2_values, tminusdim_table
 
 COLUMN_SYSTEMS = (
-    RootSystem("A", 1), RootSystem("E6", 6), RootSystem("E7", 7),
-    RootSystem("E8", 8), RootSystem("F4", 4), RootSystem("G2", 2),
+    RootSystem("A", 1), RootSystem("E", 6), RootSystem("E", 7),
+    RootSystem("E", 8), RootSystem("F", 4), RootSystem("G", 2),
 )
 
 
@@ -323,5 +323,5 @@ def _systems_up_to_rank(max_rank):
     systems += [RootSystem("C", n) for n in range(2, max_rank + 1)]
     systems += [RootSystem("D", n) for n in range(3, max_rank + 1)]
     systems += [RootSystem(f, r) for f, r in
-                (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2))]
+                (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
     return systems

@@ -100,6 +100,37 @@ def test_upper_bound(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), group
 
 
+# tokens at the edges of the root-system syntax, on g=0;d=2,3,7: the ones
+# accepted give (z1 principal stdout, upper-bound stdout, JSON label), the
+# others the same error from both subcommands
+EDGE_GROUPS_ACCEPTED = {
+    " E8 ": ("260\n", "6319/21\n", "E8"),
+    "D3": ("15\n", "244/7\n", "D3"),
+}
+EDGE_GROUPS_REJECTED = {
+    **{t: f"cannot parse root system {t!r}" for t in ("E2", "E9", "E06", "F04", "G3", "e8", "H3")},
+    "B1": "B_n needs rank >= 2",
+    "D2": "D_n needs rank >= 3",
+}
+
+
+def test_root_system_edge_tokens(capsys):
+    for token, (z1_out, bound_out, label) in EDGE_GROUPS_ACCEPTED.items():
+        code, out, err = run(capsys, "z1", "principal", "g=0;d=2,3,7", token)
+        assert (code, out, err) == (0, z1_out, ""), token
+        code, out, err = run(capsys, "upper-bound", "g=0;d=2,3,7", token)
+        assert (code, out, err) == (0, bound_out, ""), token
+        _, out, _ = run(capsys, "z1", "principal", "g=0;d=2,3,7", token, "--format", "json")
+        assert json.loads(out)["root_system"] == label
+        _, out, _ = run(capsys, "upper-bound", "g=0;d=2,3,7", token, "--format", "json")
+        assert json.loads(out)["group"] == label
+    for token, message in EDGE_GROUPS_REJECTED.items():
+        for command in (("z1", "principal"), ("upper-bound",)):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, *command, "g=0;d=2,3,7", token, "--format", fmt)
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (command, token)
+
+
 def test_density(capsys):
     code, out, _ = run(capsys, "density", "g=0;d=2,4,6")
     assert (code, out) == (0, "not-dense ExceptionalSet\n")
@@ -258,8 +289,15 @@ def test_usage_errors(capsys):
     for argv in (["triangle-witness", "0", "3", "7"], ["triangle-witness", "--", "-3", "3", "7"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
-    code, out, err = run(capsys, "verify-appendix", "--entry", "x")
-    assert (code, out, err) == (2, "", "error: no appendix entry labelled 'x'\n")
+    # an empty label is unknown like any other, not a request for all six
+    for label in ("x", ""):
+        code, out, err = run(capsys, "verify-appendix", "--entry", label)
+        assert (code, out, err) == (2, "", f"error: no appendix entry labelled {label!r}\n")
+    # --m is the genus0 table's period count; the other tables reject it
+    for table in ("defect", "tminusdim"):
+        code, out, err = run(capsys, "tables", table, "--m", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: tables {table} takes no --m (only genus0 does)\n"
     # the scan visits ~dmax^3/6 triples (about 1 s at 200) and has a stated limit
     code, out, err = run(capsys, "scan-triples", "--dmax", "201")
     assert (code, out, err) == (2, "", "error: dmax must be <= 200\n")

@@ -89,17 +89,17 @@ def test_z1_dim_alternating_torsion_free_action():
 def test_z1_dim_alternating_order_mismatch():
     p = FuchsianPresentation(0, (2, 4, 6))
     entry = APPENDIX_ENTRIES[0]
-    bad = [entry.x1, entry.x2, identity_perm(14)]
+    bad = [*entry.generators[:2], identity_perm(14)]
     with pytest.raises(OrderMismatchError):
         z1_dim_alternating_so(p, bad, 14)
     with pytest.raises(MismatchedPeriodsError):
-        z1_dim_alternating_so(p, [entry.x1, entry.x2], 14)
+        z1_dim_alternating_so(p, entry.generators[:2], 14)
     with pytest.raises(MismatchedPeriodsError):
         # middle cycle type only fills 13 of the 14 points
         z1_dim_alternating_so(p, [(2,) * 7, (4, 4, 4, 1), (6, 6, 1, 1)], 14)
     with pytest.raises(MismatchedPeriodsError):
         # a degree-12 permutation among degree-14 ones
-        z1_dim_alternating_so(p, [entry.x1, entry.x2, APPENDIX_ENTRIES[2].x2], 14)
+        z1_dim_alternating_so(p, [*entry.generators[:2], APPENDIX_ENTRIES[2].generators[1]], 14)
 
 
 def test_z1_dim_alternating_checks_orders_before_profiles(monkeypatch):
@@ -153,7 +153,7 @@ def test_upper_bound_dominates_principal_values():
     systems += [RootSystem("C", n) for n in range(2, 13)]
     systems += [RootSystem("D", n) for n in range(3, 13)]
     systems += [RootSystem(f, r) for f, r in
-                (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2))]
+                (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
     rng = random.Random(97)
     presentations = [FuchsianPresentation(0, (2, 3, 7)),
                      FuchsianPresentation(0, (2,) * 5),

@@ -39,7 +39,7 @@ def _all_systems(max_rank):
     systems += [RootSystem("C", n) for n in range(2, max_rank + 1)]
     systems += [RootSystem("D", n) for n in range(3, max_rank + 1)]
     systems += [RootSystem(f, r) for f, r in
-                (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2))]
+                (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
     return systems
 
 
@@ -57,9 +57,9 @@ def test_eigenprofile_invariants():
 
 
 def test_principal_fixed_dim_examples():
-    assert principal_fixed_dim(RootSystem("E8", 8), 2) == 120
-    assert principal_fixed_dim(RootSystem("E6", 6), 2) == 38
-    for rs in (RootSystem("A", 1), RootSystem("F4", 4), RootSystem("B", 5)):
+    assert principal_fixed_dim(RootSystem("E", 8), 2) == 120
+    assert principal_fixed_dim(RootSystem("E", 6), 2) == 38
+    for rs in (RootSystem("A", 1), RootSystem("F", 4), RootSystem("B", 5)):
         assert principal_fixed_dim(rs, 1) == dimension(rs)
 
 
@@ -67,7 +67,7 @@ def test_principal_eigenprofile_examples():
     a1 = RootSystem("A", 1)
     assert principal_eigenprofile(a1, 2).multiplicities == (1, 2)
     assert principal_eigenprofile(a1, 3).multiplicities == (1, 1, 1)
-    g2 = principal_eigenprofile(RootSystem("G2", 2), 7)
+    g2 = principal_eigenprofile(RootSystem("G", 2), 7)
     assert g2.multiplicities[0] == 2
     assert g2.real
 

@@ -33,7 +33,7 @@ def test_group_order_examples():
     assert closure_order([a, b]) == 12
     assert group_order([identity_perm(5)]) == 1
     entry = entry_by_label("2,4,6")
-    assert group_order([entry.x1, entry.x2]) == factorial(14) // 2
+    assert group_order(entry.generators[:2]) == factorial(14) // 2
 
 
 def test_group_order_matches_closure_on_random_groups():
@@ -164,7 +164,7 @@ def test_chain_matches_sympy_oracle():
 def test_stabilizer_chain_structure():
     entry = entry_by_label("3,6,6")
     chain = StabilizerChain(list(entry.generators))
-    assert chain.contains(entry.x3)
+    assert chain.contains(entry.generators[2])
     assert not chain.contains(perm_from_cycles("(1 2)", 12))
     # a non-generating group: it preserves the blocks {1,2}, {3,4}, ..., {11,12}
     blocks = [
@@ -252,7 +252,7 @@ def test_entry_group_orders_exact():
 def test_broken_entry_reports_false_flags():
     entry = entry_by_label("2,6,6")
     broken = AppendixEntry(
-        entry.periods, entry.degree, entry.x1, entry.x2, identity_perm(entry.degree),
+        entry.periods, entry.degree, (*entry.generators[:2], identity_perm(entry.degree)),
     )
     report = verify_appendix_entry(broken)
     assert not report.product_is_identity
@@ -280,6 +280,17 @@ def test_entry_serialization_round_trip():
         parse_entry_text("gamma=2,4,6;degree=14\n(1 2)\n")
     with pytest.raises(ValueError):
         parse_entry_text("degree=14\n(1 2)\n(1 2)\n(1 2)\n")
+
+
+def test_parse_entry_text_reads_the_header_degree():
+    # the printed (2,4,6) lines move all of 1..14; degree 16 fixes 15 and 16
+    lines = entry_to_text(entry_by_label("2,4,6")).splitlines()[1:]
+    entry = parse_entry_text("\n".join(["gamma=2,4,6;degree=16", *lines]))
+    assert entry.degree == 16
+    for x in entry.generators:
+        assert x.degree == 16 and x.images[14:] == (15, 16)
+    for entry in APPENDIX_ENTRIES:
+        assert {x.degree for x in entry.generators} == {entry.degree}
 
 
 def test_entry_lookup():
