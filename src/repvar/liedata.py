@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
+from .presentation import INT_TOKEN
+
 # the exceptional systems, the only valid (letter, rank) pairs of E, F and G
 _EXCEPTIONAL_EXPONENTS = {
     ("E", 6): (1, 4, 5, 7, 8, 11),
@@ -106,14 +108,14 @@ def classical_rank(g: ClassicalGroup) -> int:
     return g.n - 1
 
 
-# a classical letter takes any digits; E, F and G only their own ranks
-_RS_RE = re.compile(r"^([ABCD]|E(?=[678]$)|F(?=4$)|G(?=2$))(\d+)$")
-_CG_RE = re.compile(r"^(SO|SU)\((\d+)\)$")
+# a classical letter takes any integer token; E, F and G only their own ranks
+_RS_RE = re.compile(rf"([ABCD]|E(?=[678]$)|F(?=4$)|G(?=2$))({INT_TOKEN.pattern})")
+_CG_RE = re.compile(rf"(SO|SU)\(({INT_TOKEN.pattern})\)")
 
 
 def parse_root_system(text: str) -> RootSystem:
     """Parse CLI syntax like ``A5``, ``B12``, ``E8``."""
-    m = _RS_RE.match(text.strip())
+    m = _RS_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"cannot parse root system {text!r}")
     return RootSystem(m.group(1), int(m.group(2)))
@@ -121,7 +123,7 @@ def parse_root_system(text: str) -> RootSystem:
 
 def parse_classical_group(text: str) -> ClassicalGroup:
     """Parse CLI syntax like ``SO(13)`` or ``SU(7)``."""
-    m = _CG_RE.match(text.strip())
+    m = _CG_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"cannot parse classical group {text!r}")
     return ClassicalGroup(m.group(1), int(m.group(2)))

@@ -4,10 +4,10 @@ The engine is an incremental Schreier-Sims stabilizer chain that keeps S^(i)
 as one list per level.  Every strong generator, seed or residue, joins S^(0)
 to S^(i) for the first base point base[i] it moves (a new one, its least
 moved point, if it fixes the base); orbits grow in place, and each Schreier
-generator is sifted until it sifts to the identity once.  No randomization
-anywhere, so certification runs are reproducible bit for bit.  Orders are
-exact arbitrary-precision integers; the degrees used by the shipped data
-(12 and 14) are nowhere near any internal limit.
+generator is sifted until it sifts to the identity once.  The warm start's
+random stream is seeded, reproducible bit for bit, and leaves the global
+``random`` state alone.  Orders are exact arbitrary-precision integers; the
+degrees of the shipped data (12 and 14) are nowhere near any limit.
 
 ``Permutation`` (1-based, validated) is the type at the boundary: chains are
 built from, test, and report ``Permutation``s.  Inside, the chain works on
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
+import random
 from typing import Sequence
 
 from .cocycle import z1_dim_alternating_so
@@ -44,9 +45,11 @@ from .eigen import (
     perm_parity,
 )
 from .liedata import so_dim
-from .presentation import FuchsianPresentation
+from .presentation import FuchsianPresentation, parse_int_token
 
 _Images = tuple[int, ...]  # 0-based: images[i] is the image of point i
+# warm start: stream seed, steps before the first sift, identity sifts that end it
+_PR_SEED, _PR_SCRAMBLE, _PR_MISSES = 0, 20, 5
 
 
 class StabilizerChain:
@@ -77,14 +80,19 @@ class StabilizerChain:
     sifts to the identity, Schreier's lemma makes <S^(i+1)> the stabilizer
     of base[i] in <S^(i)> at every level, and the chain is complete.
 
-    Construction stops early once the orbit lengths multiply to the parity
-    ceiling: n!/2 when every generator is even, n! otherwise.  That is sound
-    because each basic orbit is built from generators of a subgroup of the
-    true stabilizer, so the product only ever undercounts |G|, and |G| is at
-    most the ceiling.  Reaching it forces every basic orbit to be complete
-    and the base's pointwise stabilizer to be trivial, so the chain is a
-    valid BSGS and ``order`` and ``contains`` are exact.  Chains are
-    immutable once built and safe to share.
+    Before that test, a transitive group is warm-started: a seeded
+    product-replacement stream of <gens> (Celler et al., 1995) is sifted from
+    level 0, each residue enters by the same rule, and the orbits of all the
+    levels it joins are extended.  Construction stops early once the orbit
+    lengths multiply to the parity ceiling: n!/2 when every generator is
+    even, n! otherwise.  That is sound because every element sifted lies in
+    G, so S^(i) fixes the first i base points, each orbit is built from
+    generators of a subgroup of the true stabilizer, and the product only
+    ever undercounts |G|, which is at most the ceiling.  Reaching it forces
+    every basic orbit to be complete and the base's pointwise stabilizer to
+    be trivial, so the chain is a valid BSGS and ``order`` and ``contains``
+    are exact; below it the Schreier test runs in full.  Chains are immutable
+    once built and safe to share.
     """
 
     def __init__(self, gens: Sequence[Permutation]):
@@ -107,6 +115,8 @@ class StabilizerChain:
                 self._add_strong_generator(t)
         for level in range(len(self._base)):
             self._extend_orbit(level)
+        if self._trans and len(self._trans[0]) == degree:  # else G stays below the ceiling
+            self._warm_start()
         self._close()
 
     @property
@@ -153,10 +163,30 @@ class StabilizerChain:
             self._gens[i].append(pair)
         return level
 
+    def _warm_start(self) -> None:
+        """Sift a seeded product-replacement stream of <gens> from level 0."""
+        rng = random.Random(_PR_SEED)
+        pool = (self._gens[0] * 11)[:max(11, len(self._gens[0]))]  # (x, x^-1) slots
+        acc, misses = self._identity, -_PR_SCRAMBLE  # the first steps only scramble
+        while misses < _PR_MISSES and self.order() != self._ceiling:
+            # slot s times slot t or its inverse (the reversed pair), on a random side
+            s, t = rng.sample(range(len(pool)), 2)
+            x, y = (pool[s], pool[t][::rng.choice((1, -1))])[::rng.choice((1, -1))]
+            pool[s] = (tuple(map(x[0].__getitem__, y[0])), tuple(map(y[1].__getitem__, x[1])))
+            acc = tuple(map(acc.__getitem__, pool[s][0]))
+            if misses < 0 or (residue := self._sift(acc, 0)) == self._identity:
+                misses += 1
+            else:  # the residue joins S^(0..drop), so each of those orbits may grow
+                misses = 0
+                for level in range(self._add_strong_generator(residue) + 1):
+                    self._extend_orbit(level)
+
     def _extend_orbit(self, level: int) -> None:
         """Grow the level's orbit in place, breadth-first from its points."""
         gens = self._gens[level]
         tr = self._trans[level]
+        if len(tr) == self.degree - level:  # S^(level) fixes base[:level]: the orbit is full
+            return
         queue = list(tr)
         for p in queue:
             u, u_inv = tr[p]
@@ -334,8 +364,8 @@ def parse_entry_text(text: str) -> AppendixEntry:
     ):
         raise ValueError(f"bad header {header!r}")
     try:
-        periods = tuple(int(tok) for tok in parts[0][len("gamma="):].split(","))
-        degree = int(parts[1][len("degree="):])
+        periods = tuple(map(parse_int_token, parts[0][len("gamma="):].split(",")))
+        degree = parse_int_token(parts[1][len("degree="):])
     except ValueError:
         raise ValueError(f"bad header {header!r}") from None
     if len(periods) != 3:

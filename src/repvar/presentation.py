@@ -17,9 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import re
 from typing import Iterable
 
 Rational = Fraction
+
+INT_TOKEN = re.compile("0|[1-9][0-9]*")  # ASCII; no sign, padding or leading zeros
+
+
+def parse_int_token(text: str) -> int:
+    """Read the text parsers' one integer token; others raise ``ValueError``."""
+    if INT_TOKEN.fullmatch(text) is None:
+        raise ValueError(f"not an integer token: {text!r}")
+    return int(text)
 
 
 class SignatureError(ValueError):
@@ -103,21 +113,19 @@ def parse_signature(text: str) -> tuple[int, tuple[int, ...]]:
     """Parse the raw ``g=<int>;d=<c1>,<c2>,...`` syntax without validating.
 
     Returns the (genus, periods) pair so that callers like the Euler
-    characteristic command can work on non-hyperbolic candidates.  Syntax
-    errors raise ``SignatureError``.
+    characteristic command can work on non-hyperbolic candidates.  Each
+    number is an ``INT_TOKEN``; syntax errors raise ``SignatureError``.
     """
     parts = text.strip().split(";")
     if len(parts) != 2 or not parts[0].startswith("g=") or not parts[1].startswith("d="):
         raise SignatureError(f"expected 'g=<int>;d=<c1>,<c2>,...', got {text!r}")
     try:
-        genus = int(parts[0][2:])
+        genus = parse_int_token(parts[0][2:])
     except ValueError:
         raise SignatureError(f"bad genus in {text!r}") from None
-    body = parts[1][2:].strip()
-    if body == "":
-        return genus, ()
+    body = parts[1][2:]
     try:
-        periods = tuple(int(tok) for tok in body.split(","))
+        periods = tuple(map(parse_int_token, body.split(","))) if body else ()
     except ValueError:
         raise SignatureError(f"bad period list in {text!r}") from None
     return genus, periods

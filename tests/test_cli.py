@@ -131,6 +131,37 @@ def test_root_system_edge_tokens(capsys):
                 assert (code, out, err) == (2, "", f"error: {message}\n"), (command, token)
 
 
+def test_integer_tokens_are_ascii_without_sign_or_padding(capsys, tmp_path):
+    # each parser reads 0 or [1-9][0-9]* in ASCII and rejects any other
+    # number token with its own message and exit 2
+    rejected = [
+        (("z1", "principal", "g=0;d=2,3,7", "A05"), "cannot parse root system 'A05'"),
+        (("upper-bound", "g=0;d=2,3,7", "A\u0663"), "cannot parse root system 'A\u0663'"),
+        (("upper-bound", "g=0;d=2,3,7", "SO(013)"), "cannot parse classical group 'SO(013)'"),
+        (("upper-bound", "g=0;d=2,3,7", "SU(+7)"), "cannot parse classical group 'SU(+7)'"),
+        (("validate", "g=0;d=2_0,3,7"), "bad period list in 'g=0;d=2_0,3,7'"),
+        (("validate", "g=0;d=+2,3,7"), "bad period list in 'g=0;d=+2,3,7'"),
+        (("validate", "g=0;d=02,3,7"), "bad period list in 'g=0;d=02,3,7'"),
+        (("euler", "g=0;d=2, 3,7"), "bad period list in 'g=0;d=2, 3,7'"),
+        (("euler", "g=+1;d="), "bad genus in 'g=+1;d='"),
+    ]
+    for argv, message in rejected:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    lines = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()
+    triple = tmp_path / "triple.txt"
+    for header in ("gamma=2,4,6;degree=014", "gamma=+2,4,6;degree=14", "gamma=2,4,6;degree=1_4"):
+        triple.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
+        )
+        assert (code, out, err) == (2, "", f"error: bad header {header!r}\n"), header
+    # zeros inside a number are fine
+    assert run(capsys, "upper-bound", "g=0;d=2,3,10", "SO(10)")[0] == 0
+    assert run(capsys, "z1", "principal", "g=0;d=2,3,10", "A10")[0] == 0
+
+
 def test_density(capsys):
     code, out, _ = run(capsys, "density", "g=0;d=2,4,6")
     assert (code, out) == (0, "not-dense ExceptionalSet\n")

@@ -3,6 +3,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import ALTERNATING_ORDERS, APPENDIX_DERIVED
 from oracles import closure_order, identity_perm, perm_inverse, sympy_group
@@ -117,17 +119,22 @@ def _block_pair(rng, n):
     return gens, perm_from_cycles(f"({x} {y} {z})", n)
 
 
+def _queries(rng, gens, outsider):
+    """Six member words in ``gens``, then ``outsider`` times each."""
+    members = []
+    for _ in range(6):
+        x = identity_perm(gens[0].degree)
+        for _ in range(rng.randint(4, 16)):
+            x = perm_compose(rng.choice(gens), x)
+        members.append(x)
+    return members + [perm_compose(outsider, x) for x in members]
+
+
 def _check_against_sympy(rng, gens, outsider):
     """Compare order, generation and membership with sympy on six member
     words and on ``outsider`` times each; return the order and membership."""
     n = gens[0].degree
-    members = []
-    for _ in range(6):
-        x = identity_perm(n)
-        for _ in range(rng.randint(4, 16)):
-            x = perm_compose(rng.choice(gens), x)
-        members.append(x)
-    queries = members + [perm_compose(outsider, x) for x in members]
+    queries = _queries(rng, gens, outsider)
     order, membership = sympy_group(gens, queries)
     assert membership[:6] == [True] * 6
     assert group_order(gens) == order
@@ -159,6 +166,57 @@ def test_chain_matches_sympy_oracle():
         gens, breaker = _block_pair(rng, n)
         order, membership = _check_against_sympy(rng, gens, breaker)
         assert order < factorial(n) // 2 and membership[6:] == [False] * 6
+
+
+def _wreath(rng, k):
+    """S_2 wr S_k on 2k points, relabelled by a seeded permutation c, and
+    c (1 2 3) c^-1, which breaks its blocks."""
+    n = 2 * k
+    gens = [
+        perm_from_cycles("(1 2)", n),
+        perm_from_cycles("(1 3)(2 4)", n),
+        Permutation(tuple([*range(3, n + 1), 1, 2])),
+    ]
+    c = _random_perm(rng, n)
+    conj = [perm_compose(perm_compose(c, g), perm_inverse(c)) for g in gens]
+    return conj, perm_compose(perm_compose(c, perm_from_cycles("(1 2 3)", n)), perm_inverse(c))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["even", "block", "wreath"]),
+    n=st.integers(4, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_warm_start_agrees_with_closure_only(kind, n, seed):
+    # the warm start may change the base and strong generators, never the
+    # group: order and membership equal sympy's and those of a chain built
+    # by the Schreier test alone
+    rng = random.Random(seed)
+    if kind == "even":
+        gens = [_random_perm(rng, n, True), _random_perm(rng, n, True)]
+        outsider = perm_from_cycles("(1 2)", n)
+    elif kind == "block":
+        gens, outsider = _block_pair(rng, n)
+    else:
+        gens, outsider = _wreath(rng, n // 2)
+    queries = _queries(rng, gens, outsider)
+    order, membership = sympy_group(gens, queries)
+    assert membership[:6] == [True] * 6
+    warm = StabilizerChain(gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StabilizerChain, "_warm_start", lambda self: None)
+        closed = StabilizerChain(gens)
+    for chain in (warm, closed):
+        assert chain.order() == order
+        assert [chain.contains(q) for q in queries] == membership
+
+
+def test_chain_leaves_the_global_random_state_alone():
+    state = random.getstate()
+    for entry in APPENDIX_ENTRIES:
+        StabilizerChain(list(entry.generators))
+    assert random.getstate() == state
 
 
 def test_stabilizer_chain_structure():

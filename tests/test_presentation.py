@@ -88,6 +88,19 @@ def test_parse_rejects_malformed_text():
             parse_signature(bad)
 
 
+def test_parse_reads_only_ascii_integer_tokens():
+    # 0 or [1-9][0-9]*: no sign, padding, separator, leading zero or
+    # non-ASCII digit; only the text as a whole is stripped
+    assert parse_signature(" g=0;d=2,3,10 ") == (0, (2, 3, 10))
+    assert parse_signature("g=10;d=0,20") == (10, (0, 20))
+    for genus in ("+0", "00", "01", " 0", "0 ", "-1", "1_0", "\u0663", "\uff11"):
+        with pytest.raises(SignatureError, match="^bad genus in "):
+            parse_signature(f"g={genus};d=2,3,7")
+    for periods in ("2_0", "+2", "02", " 2", "2 ,3", "2, 3,7", "-2", "\u0663", "7,"):
+        with pytest.raises(SignatureError, match="^bad period list in "):
+            parse_signature(f"g=0;d={periods}")
+
+
 def test_parse_signature_allows_non_hyperbolic_candidates():
     assert parse_signature("g=0;d=3,3,3") == (0, (3, 3, 3))
     with pytest.raises(NonHyperbolicError):

@@ -6,9 +6,14 @@ Run from the root of a repvar checkout:
 
 Inputs: the six appendix triples; S_2 wr S_k (blocks {1,2}, {3,4}, ...,
 generated by (1 2), (1 3)(2 4) and the block k-cycle) at degrees 18, 24, 32
-and 40, which close below the parity ceiling; and one random pair of even
-permutations at degrees 20, 24 and 32, drawn from ``random.Random(degree)``.
-Each entry is [milliseconds, group order, number of strong generators].
+and 40, which close below the parity ceiling; one random pair of even
+permutations at degrees 20, 24 and 32; and one block-preserving pair at
+degrees 17, 18 and 20, which preserves a split of the points into two orbits
+(prime degree) or a block system (composite degree) and so closes below the
+ceiling by the full Schreier test.  The pairs at 17 and 18 happen to be
+intransitive, so they skip the warm start; the one at 20 is transitive and
+runs it.  Random inputs are drawn from ``random.Random(degree)``.  Each
+entry is [milliseconds, group order, number of strong generators].
 """
 
 from __future__ import annotations
@@ -52,10 +57,35 @@ def even_pair(n: int) -> list[Permutation]:
     return pair
 
 
+def block_pair(n: int) -> list[Permutation]:
+    rng = random.Random(n)
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    sizes = [b for b in range(2, n) if n % b == 0]
+    if sizes:
+        b = rng.choice(sizes)
+        parts = [points[i:i + b] for i in range(0, n, b)]
+    else:
+        a = rng.randint(2, n - 2)
+        parts = [points[:a], points[a:]]
+    pair = []
+    for _ in range(2):
+        targets = parts[:]
+        if sizes:
+            rng.shuffle(targets)
+        images = [0] * n
+        for src, dst in zip(parts, targets):
+            for p, q in zip(src, rng.sample(dst, len(dst))):
+                images[p - 1] = q
+        pair.append(Permutation(tuple(images)))
+    return pair
+
+
 if __name__ == "__main__":
     print(json.dumps({
         "python": platform.python_version(),
         "triples": {e.label: best_of(list(e.generators)) for e in APPENDIX_ENTRIES},
         "wreath_s2_sk": {str(n): best_of(wreath(n // 2)) for n in (18, 24, 32, 40)},
         "even_pair": {str(n): best_of(even_pair(n)) for n in (20, 24, 32)},
+        "block_pair": {str(n): best_of(block_pair(n)) for n in (17, 18, 20)},
     }))
