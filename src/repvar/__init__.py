@@ -29,8 +29,7 @@ _EXPORTS = {
     "eigen": (
         "EigenProfile", "Permutation", "balanced_class", "exterior_square_fixed_dim",
         "perm_compose", "perm_from_cycles", "perm_order", "perm_parity",
-        "perm_std_eigenprofile", "principal_eigenprofile", "principal_fixed_dim",
-        "su_centralizer_dim",
+        "principal_eigenprofile", "principal_fixed_dim", "su_centralizer_dim",
     ),
     "liedata": (
         "ClassicalGroup", "RootSystem", "classical_dim", "classical_rank",

@@ -42,6 +42,15 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
+def _int(text: str) -> int:
+    """An ``INT_TOKEN``, or one negated; each handler checks the range."""
+    from .presentation import INT_TOKEN
+
+    if INT_TOKEN.fullmatch(text.removeprefix("-")) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _cmd_euler(args) -> int:
     from .presentation import euler_characteristic, parse_signature
 
@@ -97,7 +106,7 @@ def _cmd_z1_alternating(args) -> int:
             entry = parse_entry_text(handle.read())
         if entry.degree != degree:
             raise ValueError(f"triple file degree {entry.degree} != --degree {degree}")
-        generators = entry.generators
+        generators = [x.cycle_type() for x in entry.generators]
         source = os.path.basename(args.triple)
     else:
         generators = [balanced_class(degree, d) for d in p.periods]
@@ -297,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("root_system")
     s = leaf(z1_sub, "alternating", _cmd_z1_alternating, "alternating image in SO(N-1)")
     s.add_argument("presentation")
-    s.add_argument("--degree", type=int, required=True)
+    s.add_argument("--degree", type=_int, required=True)
     s.add_argument("--triple", help="file in the gamma=...;degree=... triple format")
 
     s = leaf(sub, "upper-bound", _cmd_upper_bound, "cocycle dimension upper bound")
@@ -308,24 +317,24 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("presentation")
 
     s = leaf(sub, "triangle-witness", _cmd_triangle_witness, "coprime rotation angles")
-    s.add_argument("d1", type=int)
-    s.add_argument("d2", type=int)
-    s.add_argument("d3", type=int)
+    s.add_argument("d1", type=_int)
+    s.add_argument("d2", type=_int)
+    s.add_argument("d3", type=_int)
     s.add_argument("--non-strict", action="store_true")
 
     s = leaf(sub, "scan-triples", _cmd_scan_triples, "triples with no strict witness")
-    s.add_argument("--dmax", type=int, required=True)
+    s.add_argument("--dmax", type=_int, required=True)
 
     s = leaf(sub, "interval", _cmd_interval, "coprime interval representative")
-    s.add_argument("d", type=int)
-    s.add_argument("--case", type=int, choices=(1, 2, 3), required=True)
+    s.add_argument("d", type=_int)
+    s.add_argument("--case", type=_int, choices=(1, 2, 3), required=True)
 
     s = leaf(sub, "verify-appendix", _cmd_verify_appendix, "certify the shipped triples")
     s.add_argument("--entry", help="label like 2,4,6 (default: all six)")
 
     s = leaf(sub, "tables", _cmd_tables, "reproduce the numeric tables")
     s.add_argument("table", choices=("defect", "tminusdim", "genus0"))
-    s.add_argument("--m", type=int, help="period count for the genus0 table")
+    s.add_argument("--m", type=_int, help="period count for the genus0 table")
 
     return parser
 

@@ -21,12 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .eigen import (
-    Permutation,
-    cycle_type_std_eigenprofile,
-    exterior_square_fixed_dim,
-    principal_fixed_dim,
-)
+from .eigen import exterior_square_fixed_dim, principal_fixed_dim
 from .liedata import RootSystem, dimension, so_dim
 from .presentation import FuchsianPresentation
 
@@ -70,8 +65,8 @@ def z1_dim(p: FuchsianPresentation, t: TorsionFixedData) -> int:
     """Cocycle-space dimension for the action described by ``t``.
 
     Evaluates both lines of the dimension formula exactly and checks they
-    agree and are integral; a fractional value can only arise from
-    inconsistent fix data and is rejected rather than rounded.
+    agree and are integral; they are equal for any fix data, so the check
+    guards only the evaluation of chi, and a failure raises, never rounds.
     """
     if tuple(sorted(d for d, _ in t.torsion)) != p.periods:
         raise MismatchedPeriodsError(
@@ -110,16 +105,16 @@ def z1_dim_principal(p: FuchsianPresentation, rs: RootSystem) -> int:
 
 def z1_dim_alternating_so(
     p: FuchsianPresentation,
-    generators: Sequence[Permutation | tuple[int, ...] | list[int]],
+    generators: Sequence[tuple[int, ...] | list[int]],
     degree: int,
 ) -> int:
     """Cocycle dimension for a degree-N alternating image inside SO(N-1).
 
-    ``generators`` gives one permutation (or bare cycle type) per period,
+    ``generators`` gives one cycle type (fixed points as 1s) per period,
     with orders matching the periods; the module is the exterior square of
     the standard representation, of dimension (N-1)(N-2)/2 = dim SO(N-1),
     irreducible for N >= 6, so the dual invariants vanish.  Degrees and
-    orders are checked on the cycle types before any eigenprofile is built.
+    orders are checked before any fixed dimension is counted.
     """
     if degree < 6:
         raise ValueError("need degree >= 6 for an irreducible exterior square")
@@ -127,7 +122,7 @@ def z1_dim_alternating_so(
         raise MismatchedPeriodsError(
             f"{len(generators)} generators for {len(p.periods)} periods"
         )
-    types = [g.cycle_type() if isinstance(g, Permutation) else tuple(g) for g in generators]
+    types = list(map(tuple, generators))
     for lengths in types:
         if sum(lengths) != degree:
             raise MismatchedPeriodsError(
@@ -139,10 +134,7 @@ def z1_dim_alternating_so(
             f"generator orders {sorted(orders)} do not match "
             f"periods {list(p.periods)}"
         )
-    torsion = tuple(
-        (d, exterior_square_fixed_dim(cycle_type_std_eigenprofile(lengths)))
-        for d, lengths in zip(orders, types)
-    )
+    torsion = tuple((d, exterior_square_fixed_dim(t)) for d, t in zip(orders, types))
     return z1_dim(p, TorsionFixedData(torsion, so_dim(degree - 1), 0))
 
 

@@ -8,16 +8,19 @@ residue vectors.
 Three element families are covered: images of torsion generators under a
 principal homomorphism (acting on the adjoint representation), permutations
 acting on the standard representation of the symmetric group, and arbitrary
-profiles inside SU(n).
+profiles inside SU(n).  A permutation enters as its cycle type, and its fixed
+dimension on the exterior square is an orbit count bounded by the degree.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .liedata import RootSystem, exponents
+from .presentation import INT_TOKEN
 
 
 class DegreeMismatchError(ValueError):
@@ -106,11 +109,11 @@ def perm_from_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation, e.g. ``(1 2)(3 4)``; whitespace-tolerant.
 
     Points not mentioned are fixed, so the degree must be declared.  ``()``
-    or an empty string is the identity.
+    or an empty string is the identity.  Each point is an ``INT_TOKEN``.
     """
     stripped = text.strip()
-    # one digit opens each cycle body, so a long digit run has a single parse
-    if not re.fullmatch(r"(?:\s*\(\s*(?:\d[\d\s,]*)?\))*\s*", stripped):
+    point = f"(?:{INT_TOKEN.pattern})"  # a separator ends each, so a digit run has one parse
+    if not re.fullmatch(rf"(?:\s*\(\s*(?:{point}(?:[\s,]+{point})*[\s,]*)?\))*\s*", stripped):
         raise ValueError(f"cannot parse cycle notation {text!r}")
     images = list(range(1, degree + 1))
     touched: set[int] = set()
@@ -176,24 +179,20 @@ def cycle_type_std_eigenprofile(lengths: tuple[int, ...] | list[int]) -> EigenPr
     return EigenProfile(tuple(mult))
 
 
-def perm_std_eigenprofile(x: Permutation) -> EigenProfile:
-    """Eigenvalue profile of x on the standard (degree - 1)-dim representation."""
-    return cycle_type_std_eigenprofile(x.cycle_type())
-
-
-def exterior_square_fixed_dim(p: EigenProfile) -> int:
-    """Multiplicity of eigenvalue 1 on the exterior square of V.
-
-    A pair of eigenvalue residues (j, l) contributes residue j + l mod d, so
-    the fixed multiplicity is the number of unordered pairs summing to 0:
-    C(m_0, 2) + C(m_{d/2}, 2) for even d, plus m_j * m_{d-j} over 0 < j < d/2.
+def exterior_square_fixed_dim(lengths: tuple[int, ...] | list[int]) -> int:
+    """Fixed dimension on the exterior square of V, for cycle type ``lengths``
+    (fixed points as 1s): on that of 1 + V, each <x>-orbit of e_i ^ e_j gives a
+    fixed line unless a power of x swaps i and j; a c-cycle holds (c - 1)//2
+    such orbits and two cycles of lengths a, b hold gcd(a, b).  As the square of
+    1 + V is V plus that of V, dim V^x = #cycles - 1 is then taken off.
     """
-    d, m = p.order, p.multiplicities
-    total = m[0] * (m[0] - 1) // 2
-    if d % 2 == 0:
-        total += m[d // 2] * (m[d // 2] - 1) // 2
-    for j in range(1, (d + 1) // 2):
-        total += m[j] * m[d - j]
+    counts = Counter(lengths)
+    if not counts or min(counts) < 1:
+        raise ValueError("cycle type must be a non-empty list of positive lengths")
+    total = 1 - sum(counts.values())
+    for a, n_a in counts.items():  # one term per distinct length or pair of them
+        total += n_a * ((a - 1) // 2) + n_a * (n_a - 1) // 2 * a
+        total += sum(n_a * n_b * gcd(a, b) for b, n_b in counts.items() if b < a)
     return total
 
 

@@ -330,7 +330,8 @@ def verify_appendix_entry(entry: AppendixEntry) -> AppendixReport:
     if all(orders):
         try:
             pres = FuchsianPresentation(0, entry.periods)
-            z1 = z1_dim_alternating_so(pres, entry.generators, entry.degree)
+            types = [x.cycle_type() for x in entry.generators]
+            z1 = z1_dim_alternating_so(pres, types, entry.degree)
         except ValueError:
             z1 = 0
     return AppendixReport(

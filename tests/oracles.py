@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different computational route from the
 implementation it cross-checks: fixed spaces on the exterior square go
-through the character average rather than pair counting, group orders go
+through the character average, and through eigenvalue pairs of the standard
+profile, rather than orbits of 2-subsets, group orders go
 through brute-force product closure or sympy's permutation groups rather
 than repvar's stabilizer chain, interval representatives go through a
 smallest-numerator scan and through closed forms in d mod 4 and d mod 36,
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from repvar.eigen import Permutation, perm_compose, perm_order
+from repvar.eigen import Permutation, cycle_type_std_eigenprofile, perm_compose, perm_order
 
 
 def identity_perm(n: int) -> Permutation:
@@ -78,6 +79,19 @@ def ext_square_fixed_oracle(x: Permutation) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"character average {value} is not an integer")
     return int(value)
+
+
+def ext_square_profile_oracle(lengths: tuple[int, ...] | list[int]) -> int:
+    """Unordered pairs of standard-profile eigenvalues whose residues sum to 0
+    mod the order d: C(m_0, 2) and C(m_{d/2}, 2), plus m_j * m_{d-j} for
+    0 < j < d/2.  The profile has one entry per residue, so this costs the
+    order, not the degree."""
+    m = cycle_type_std_eigenprofile(lengths).multiplicities
+    d = len(m)
+    return sum(
+        m[j] * (m[j] - 1) // 2 if 2 * j % d == 0 else m[j] * m[d - j]
+        for j in range(d // 2 + 1)
+    )
 
 
 def closure_order(gens: list[Permutation]) -> int:

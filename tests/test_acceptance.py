@@ -42,10 +42,10 @@ from oracles import class_to_permutation, ext_square_fixed_oracle, partitions
 from repvar.cocycle import TorsionFixedData, upper_bound, z1_dim, z1_dim_principal
 from repvar.density import interval_coprime, is_so3_dense, scan_hyperbolic_triples
 from repvar.eigen import (
+    cycle_type_std_eigenprofile,
     exterior_square_fixed_dim,
     perm_order,
     perm_parity,
-    perm_std_eigenprofile,
     principal_eigenprofile,
     principal_fixed_dim,
     su_centralizer_dim,
@@ -266,14 +266,13 @@ def test_acceptance_8_formula_identities():
         ok = ok and value == first == second
         produced += 1
 
-    # exterior-square closed form vs character average, exhaustively
+    # exterior-square orbit count vs character average, exhaustively
     profiles = []
     for degree in range(1, 11):
         for cycle_type in partitions(degree):
             x = class_to_permutation(cycle_type)
-            profile = perm_std_eigenprofile(x)
-            ok = ok and exterior_square_fixed_dim(profile) == ext_square_fixed_oracle(x)
-            profiles.append(profile)
+            ok = ok and exterior_square_fixed_dim(x.cycle_type()) == ext_square_fixed_oracle(x)
+            profiles.append(cycle_type_std_eigenprofile(x.cycle_type()))
 
     # centralizer lower bound: sum of squares against n^2 / k
     systems = _systems_up_to_rank(12)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import PAPER_TMINUSDIM_TABLE
+from oracles import class_to_permutation
 from repvar.cli import dump_json, main
-from repvar.permgrp import APPENDIX_ENTRIES, entry_to_text
+from repvar.permgrp import APPENDIX_ENTRIES, AppendixEntry, entry_to_text
 
 FLOAT_RE = re.compile(r"\b\d+\.\d+\b")
 
@@ -70,6 +71,47 @@ def test_z1_alternating(capsys, tmp_path):
     obj = json.loads(out)
     assert code == 0 and obj["generators"] == "balanced-classes"
     assert obj["z1"] == obj["so_dim"] + obj["margin"]
+    # the file's degree must be the one asked for
+    code, out, err = run(
+        capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "16", "--triple", str(triple),
+    )
+    assert (code, out, err) == (2, "", "error: triple file degree 14 != --degree 16\n")
+    # a third generator of order 2*3*5*...*29 = 6,469,693,230 on 129 points
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    generators = (
+        class_to_permutation((2,) * 64 + (1,)), class_to_permutation((3,) * 43),
+        class_to_permutation(primes),
+    )
+    triple.write_text(entry_to_text(AppendixEntry((2, 3, 6469693230), 129, generators)))
+    code, out, err = run(
+        capsys, "z1", "alternating", "g=0;d=2,3,6469693230", "--degree", "129",
+        "--triple", str(triple),
+    )
+    assert (code, out, err) == (0, "9419\n", "")
+
+
+def test_alternating_z1_builds_no_eigenprofile(capsys, tmp_path, monkeypatch):
+    # fixed dimensions come from cycle types, on every path that reaches them
+    import repvar.cocycle
+    from repvar.cocycle import z1_dim_alternating_so
+    from repvar.eigen import EigenProfile
+    from repvar.permgrp import verify_appendix_entry
+    from repvar.presentation import FuchsianPresentation
+
+    def no_profile(self):
+        raise AssertionError("an EigenProfile was built")
+
+    monkeypatch.setattr(EigenProfile, "__post_init__", no_profile)
+    assert not hasattr(repvar.cocycle, "Permutation")
+    entry = APPENDIX_ENTRIES[0]
+    types = [x.cycle_type() for x in entry.generators]
+    assert z1_dim_alternating_so(FuchsianPresentation(0, entry.periods), types, 14) == 90
+    assert verify_appendix_entry(entry).ok
+    triple = tmp_path / "triple.txt"
+    triple.write_text(entry_to_text(entry), encoding="utf-8")
+    for extra in ((), ("--triple", str(triple))):
+        code, out, err = run(capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", *extra)
+        assert code == 0 and out.strip().isdigit() and err == "", extra
 
 
 def test_triple_file_with_long_malformed_cycle_line(capsys, tmp_path):
@@ -157,6 +199,25 @@ def test_integer_tokens_are_ascii_without_sign_or_padding(capsys, tmp_path):
             capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
         )
         assert (code, out, err) == (2, "", f"error: bad header {header!r}\n"), header
+    # the cycle lines follow the same rule
+    third = "(01 3 5 11 7 9)(2 8 6 4 13 14)"
+    triple.write_text("\n".join([*lines[:3], third]) + "\n", encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
+            "--format", fmt,
+        )
+        assert (code, out, err) == (2, "", f"error: cannot parse cycle notation {third!r}\n")
+    # and so do the CLI's own integer arguments, as argparse usage errors
+    for argv, option, token in (
+        (("scan-triples", "--dmax", "1_0"), "--dmax", "1_0"),
+        (("scan-triples", "--dmax", " 10"), "--dmax", " 10"),
+        (("interval", "\u0661\u0660", "--case", "1"), "d", "\u0661\u0660"),
+    ):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith(f"error: argument {option}: invalid int value: {token!r}\n"), argv
     # zeros inside a number are fine
     assert run(capsys, "upper-bound", "g=0;d=2,3,10", "SO(10)")[0] == 0
     assert run(capsys, "z1", "principal", "g=0;d=2,3,10", "A10")[0] == 0
@@ -274,6 +335,9 @@ def test_tables(capsys):
     assert code == 0 and out == "A1=4  E6=44  E7=84  E8=144  F4=36  G2=12\n"
     code, _, err = run(capsys, "tables", "genus0")
     assert code == 2 and "requires --m" in err
+    code, out, err = run(capsys, "tables", "genus0", "--m", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: need at least five periods (m = 4 all-2 is Euclidean)\n"
 
 
 def test_json_round_trips_byte_identically(capsys):

@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from fixtures import APPENDIX_DERIVED
-from oracles import identity_perm
 from repvar.cocycle import (
     MismatchedPeriodsError,
+    NonIntegerResultError,
     OrderMismatchError,
     TorsionFixedData,
     density_criterion_compare,
@@ -19,7 +21,7 @@ from repvar.cocycle import (
 from repvar.eigen import balanced_class
 from repvar.liedata import RootSystem, dimension, parse_root_system
 from repvar.permgrp import APPENDIX_ENTRIES
-from repvar.presentation import FuchsianPresentation
+from repvar.presentation import FuchsianPresentation, euler_characteristic
 
 EXCEPTIONAL_AND_A1 = ("A1", "E6", "E7", "E8", "F4", "G2")
 
@@ -40,6 +42,20 @@ def test_z1_dim_examples():
     p = FuchsianPresentation(0, (2, 2, 2, 3))
     t = TorsionFixedData(((2, 24), (2, 24), (2, 24), (3, 16)), 52, 0)
     assert z1_dim(p, t) == 68
+
+
+def test_z1_dim_guards_the_euler_characteristic(monkeypatch):
+    # the two lines agree for every fix data, so only a wrong chi trips the
+    # check: off by 1/7 the rational line is fractional, off by 1 it differs
+    p = FuchsianPresentation(0, (2, 3, 7))
+    t = TorsionFixedData(((2, 120), (3, 80), (7, 36)), 248, 0)
+    for offset, message in ((Fraction(1, 7), "not an integer"), (1, "disagree")):
+        monkeypatch.setattr(
+            FuchsianPresentation, "euler_characteristic",
+            lambda self, offset=offset: euler_characteristic(self.genus, self.periods) + offset,
+        )
+        with pytest.raises(NonIntegerResultError, match=message):
+            z1_dim(p, t)
 
 
 def test_z1_dim_rejects_mismatched_periods():
@@ -69,7 +85,7 @@ def test_z1_dim_principal_examples():
 def test_z1_dim_alternating_examples():
     entry = APPENDIX_ENTRIES[0]  # (2,4,6) in degree 14
     p = FuchsianPresentation(0, entry.periods)
-    z1 = z1_dim_alternating_so(p, list(entry.generators), 14)
+    z1 = z1_dim_alternating_so(p, [x.cycle_type() for x in entry.generators], 14)
     assert z1 == APPENDIX_DERIVED["2,4,6"]["z1"] == 90
     assert z1 > 78  # strictly bigger than dim SO(13)
 
@@ -88,31 +104,50 @@ def test_z1_dim_alternating_torsion_free_action():
 
 def test_z1_dim_alternating_order_mismatch():
     p = FuchsianPresentation(0, (2, 4, 6))
-    entry = APPENDIX_ENTRIES[0]
-    bad = [*entry.generators[:2], identity_perm(14)]
+    types = [x.cycle_type() for x in APPENDIX_ENTRIES[0].generators]
     with pytest.raises(OrderMismatchError):
-        z1_dim_alternating_so(p, bad, 14)
+        z1_dim_alternating_so(p, [*types[:2], (1,) * 14], 14)
     with pytest.raises(MismatchedPeriodsError):
-        z1_dim_alternating_so(p, entry.generators[:2], 14)
+        z1_dim_alternating_so(p, types[:2], 14)
     with pytest.raises(MismatchedPeriodsError):
         # middle cycle type only fills 13 of the 14 points
         z1_dim_alternating_so(p, [(2,) * 7, (4, 4, 4, 1), (6, 6, 1, 1)], 14)
     with pytest.raises(MismatchedPeriodsError):
-        # a degree-12 permutation among degree-14 ones
-        z1_dim_alternating_so(p, [*entry.generators[:2], APPENDIX_ENTRIES[2].generators[1]], 14)
+        # a degree-12 cycle type among degree-14 ones
+        z1_dim_alternating_so(p, [*types[:2], APPENDIX_ENTRIES[2].generators[1].cycle_type()], 14)
+    with pytest.raises(ValueError, match="degree >= 6"):
+        z1_dim_alternating_so(FuchsianPresentation(0, (2, 3, 7)), [(2, 2, 1), (3, 1, 1), (5,)], 5)
+    # a length below 1 that fills the points and passes the order check
+    with pytest.raises(ValueError, match="non-empty list of positive lengths"):
+        z1_dim_alternating_so(
+            FuchsianPresentation(0, (2, 3, 15)), [(2,) * 7, (3, 3, 3, 3, 1, 1), (-1, 15)], 14
+        )
 
 
 def test_z1_dim_alternating_checks_orders_before_profiles(monkeypatch):
     # a 61-point element of order 5*7*9*11*13*16 = 720,720 where a period 7 is
-    # due: the orders are rejected without building any eigenprofile
-    def no_profile(lengths):
-        raise AssertionError(f"eigenprofile built for {lengths}")
+    # due: the orders are rejected before any fixed dimension is counted
+    def no_fix(lengths):
+        raise AssertionError(f"fixed dimension counted for {lengths}")
 
-    monkeypatch.setattr("repvar.cocycle.cycle_type_std_eigenprofile", no_profile)
+    monkeypatch.setattr("repvar.cocycle.exterior_square_fixed_dim", no_fix)
     p = FuchsianPresentation(0, (2, 3, 7))
     types = [(2,) * 30 + (1,), (3,) * 20 + (1,), (16, 13, 11, 9, 7, 5)]
     with pytest.raises(OrderMismatchError):
         z1_dim_alternating_so(p, types, 61)
+
+
+def test_z1_dim_alternating_costs_the_degree_not_the_order():
+    # third generators with cycles 2, 3, 5, ..., 19 (order 9,699,690) on 77
+    # points and 2, 3, 5, ..., 29 (order 6,469,693,230) on 129 points
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for degree, count, expected in ((77, 8, 3289), (129, 10, 9419)):
+        third = primes[:count]
+        types = [(2,) * (degree // 2) + (1,), (3,) * (degree // 3) + (1,) * (degree % 3), third]
+        p = FuchsianPresentation(0, (2, 3, prod(third)))
+        start = time.perf_counter()
+        assert z1_dim_alternating_so(p, types, degree) == expected
+        assert time.perf_counter() - start < 0.5
 
 
 def test_both_formula_lines_agree_on_random_data():
@@ -145,6 +180,9 @@ def test_upper_bound_examples():
     assert upper_bound(p237, 14, 2) == Fraction(85, 3)
     assert upper_bound(FuchsianPresentation(2, ()), 3, 1) == 14
     assert upper_bound(p237, 3, 1) == Fraction(129, 42) + 4 + Fraction(9, 2)
+    for dim, rank in ((0, 1), (3, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            upper_bound(p237, dim, rank)
 
 
 def test_upper_bound_dominates_principal_values():

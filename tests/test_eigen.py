@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     class_to_permutation,
     ext_square_fixed_oracle,
+    ext_square_profile_oracle,
     identity_perm,
     partitions,
     perm_inverse,
@@ -17,6 +18,7 @@ from oracles import (
 from repvar.eigen import (
     DegreeMismatchError,
     EigenProfile,
+    Permutation,
     balanced_class,
     cycle_type_std_eigenprofile,
     cycles_text,
@@ -25,7 +27,6 @@ from repvar.eigen import (
     perm_from_cycles,
     perm_order,
     perm_parity,
-    perm_std_eigenprofile,
     principal_eigenprofile,
     principal_fixed_dim,
     su_centralizer_dim,
@@ -61,6 +62,8 @@ def test_principal_fixed_dim_examples():
     assert principal_fixed_dim(RootSystem("E", 6), 2) == 38
     for rs in (RootSystem("A", 1), RootSystem("F", 4), RootSystem("B", 5)):
         assert principal_fixed_dim(rs, 1) == dimension(rs)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        principal_fixed_dim(RootSystem("E", 8), 0)
 
 
 def test_principal_eigenprofile_examples():
@@ -70,6 +73,8 @@ def test_principal_eigenprofile_examples():
     g2 = principal_eigenprofile(RootSystem("G", 2), 7)
     assert g2.multiplicities[0] == 2
     assert g2.real
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        principal_eigenprofile(a1, 1)
 
 
 def test_principal_profile_m0_matches_fixed_dim():
@@ -95,6 +100,8 @@ def test_perm_basic_ops():
     assert perm_power(three_cycle, 3) == ident
     with pytest.raises(DegreeMismatchError):
         perm_compose(ident, identity_perm(6))
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation((1, 1, 3))
 
 
 def test_perm_compose_applies_right_factor_first():
@@ -108,7 +115,7 @@ def test_perm_compose_applies_right_factor_first():
 def test_cycle_parsing_and_rendering():
     x = perm_from_cycles("( 1 2 ) (3  4)", 6)
     assert x.cycle_type() == (2, 2, 1, 1)
-    assert cycles_text(x) == "(1 2)(3 4)"
+    assert cycles_text(x) == "(1 2)(3 4)" == str(x)
     assert cycles_text(identity_perm(4)) == "()"
     assert perm_from_cycles("", 3) == identity_perm(3)
     with pytest.raises(ValueError):
@@ -117,6 +124,10 @@ def test_cycle_parsing_and_rendering():
         perm_from_cycles("(1 9)", 4)  # out of range
     with pytest.raises(ValueError):
         perm_from_cycles("1 2 3", 4)  # no cycle syntax
+    # each point is an ASCII integer token: no other digits, no leading zeros
+    for text in ("(1 \u0663)(02 4)", "(01 3 5 11 7 9)(2 8 6 4 13 14)", "(1 2)(3 04)"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse cycle notation {text!r}")):
+            perm_from_cycles(text, 14)
 
 
 # the cycle-notation pattern before it was made linear; it nests two stars
@@ -146,11 +157,11 @@ def test_long_malformed_cycle_line_fails_fast():
 
 
 def test_perm_std_eigenprofile_examples():
-    p = perm_std_eigenprofile(identity_perm(5))
+    p = cycle_type_std_eigenprofile(identity_perm(5).cycle_type())
     assert (p.order, p.multiplicities) == (1, (4,))
-    p = perm_std_eigenprofile(perm_from_cycles("(1 2 3)", 3))
+    p = cycle_type_std_eigenprofile(perm_from_cycles("(1 2 3)", 3).cycle_type())
     assert (p.order, p.multiplicities) == (3, (0, 1, 1))
-    p = perm_std_eigenprofile(perm_from_cycles("(1 2)(3 4)", 4))
+    p = cycle_type_std_eigenprofile(perm_from_cycles("(1 2)(3 4)", 4).cycle_type())
     assert (p.order, p.multiplicities) == (2, (1, 2))
     # the balanced involution: six 2-cycles and two fixed points on 14 points
     p = cycle_type_std_eigenprofile(balanced_class(14, 2))
@@ -158,25 +169,41 @@ def test_perm_std_eigenprofile_examples():
     # total multiplicity is degree - 1
     for text, degree in (("(1 2 3)(4 5)", 7), ("(1 4)(2 5)(3 6)", 9)):
         x = perm_from_cycles(text, degree)
-        assert perm_std_eigenprofile(x).dim == degree - 1
+        assert cycle_type_std_eigenprofile(x.cycle_type()).dim == degree - 1
 
 
 def test_exterior_square_fixed_dim_examples():
-    for v in range(2, 9):
-        ident = EigenProfile((v,))
-        assert exterior_square_fixed_dim(ident) == v * (v - 1) // 2
-    assert exterior_square_fixed_dim(EigenProfile((0, 1, 1))) == 1
-    assert exterior_square_fixed_dim(EigenProfile((1, 2))) == 1
+    for v in range(2, 9):  # the identity fixes all of the exterior square
+        assert exterior_square_fixed_dim((1,) * (v + 1)) == v * (v - 1) // 2
+    assert exterior_square_fixed_dim((3,)) == 1
+    assert exterior_square_fixed_dim([2, 2]) == 1
+    for bad in ((), [], (3, 0), (-1, 15), (2, -2, 2)):
+        for build in (exterior_square_fixed_dim, cycle_type_std_eigenprofile):
+            with pytest.raises(ValueError, match="non-empty list of positive lengths"):
+                build(bad)
 
 
 def test_exterior_square_matches_character_oracle_exhaustively():
-    # every cycle type of degree <= 10, closed form vs character average
+    # every cycle type of degree <= 10, orbit count vs character average
     for degree in range(1, 11):
         for cycle_type in partitions(degree):
             x = class_to_permutation(cycle_type)
-            profile = perm_std_eigenprofile(x)
-            assert profile.real, cycle_type  # a permutation is conjugate to its inverse
-            assert exterior_square_fixed_dim(profile) == ext_square_fixed_oracle(x), cycle_type
+            # a permutation is conjugate to its inverse
+            assert cycle_type_std_eigenprofile(x.cycle_type()).real, cycle_type
+            assert exterior_square_fixed_dim(x.cycle_type()) == ext_square_fixed_oracle(x), cycle_type
+
+
+def test_exterior_square_matches_profile_oracle_on_seeded_types():
+    # the orbit count vs eigenvalue pairs of the standard profile, on random
+    # cycle types of degree 2..30 (profiles stay below the order 4,620)
+    rng = random.Random(1401)
+    for _ in range(1000):
+        lengths, left = [], rng.randint(2, 30)
+        while left:
+            lengths.append(rng.randint(1, left))
+            left -= lengths[-1]
+        rng.shuffle(lengths)
+        assert exterior_square_fixed_dim(lengths) == ext_square_profile_oracle(lengths), lengths
 
 
 def test_su_centralizer_dim_examples():
@@ -185,6 +212,8 @@ def test_su_centralizer_dim_examples():
         regular = EigenProfile((1,) * n)
         assert su_centralizer_dim(regular) == n - 1
     assert su_centralizer_dim(EigenProfile((1, 2))) == 4
+    with pytest.raises(ValueError, match="ambient dimension >= 2"):
+        su_centralizer_dim(EigenProfile((0, 1)))
 
 
 def test_su_centralizer_cauchy_schwarz_bound():
@@ -193,7 +222,8 @@ def test_su_centralizer_cauchy_schwarz_bound():
     profiles = []
     for degree in range(3, 11):
         profiles.extend(
-            perm_std_eigenprofile(class_to_permutation(ct)) for ct in partitions(degree)
+            cycle_type_std_eigenprofile(class_to_permutation(ct).cycle_type())
+            for ct in partitions(degree)
         )
     for rs in _all_systems(8):
         profiles.extend(principal_eigenprofile(rs, d) for d in range(2, 13))
@@ -250,4 +280,4 @@ def test_balanced_class_properties():
             x = class_to_permutation(lengths)
             assert perm_parity(x) == "even"
             assert perm_order(x) == d
-            assert cycle_type_std_eigenprofile(lengths) == perm_std_eigenprofile(x)
+            assert x.cycle_type() == lengths

@@ -20,8 +20,8 @@ EXPORTS = [
     "generates_alternating", "genus0_all2_values", "group_order", "interval_coprime",
     "is_so3_dense", "parse_classical_group", "parse_presentation", "parse_root_system",
     "perm_compose", "perm_from_cycles", "perm_order", "perm_parity",
-    "perm_std_eigenprofile", "principal_eigenprofile", "principal_fixed_dim",
-    "scan_hyperbolic_triples", "strict_triangle", "su_centralizer_dim",
+    "principal_eigenprofile", "principal_fixed_dim", "scan_hyperbolic_triples",
+    "strict_triangle", "su_centralizer_dim",
     "tminusdim_table", "triangle_witness", "upper_bound", "validate",
     "verify_appendix_entry", "z1_dim", "z1_dim_alternating_so", "z1_dim_principal",
 ]

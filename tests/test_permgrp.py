@@ -284,6 +284,12 @@ def test_level_generators_boundary():
     assert chain.level_generators(len(chain.base) + 5) == []
     with pytest.raises(ValueError):
         chain.level_generators(-1)
+    with pytest.raises(DegreeMismatchError, match="degree 13 != 12"):
+        chain.contains(identity_perm(13))
+    with pytest.raises(ValueError, match="at least one generator"):
+        StabilizerChain([])
+    with pytest.raises(DegreeMismatchError, match="share a degree"):
+        StabilizerChain([identity_perm(12), identity_perm(13)])
 
 
 def test_all_entries_verify():
@@ -338,6 +344,8 @@ def test_entry_serialization_round_trip():
         parse_entry_text("gamma=2,4,6;degree=14\n(1 2)\n")
     with pytest.raises(ValueError):
         parse_entry_text("degree=14\n(1 2)\n(1 2)\n(1 2)\n")
+    with pytest.raises(ValueError, match="exactly three periods"):
+        parse_entry_text("gamma=2,4;degree=14\n(1 2)\n(1 2)\n(1 2)\n")
 
 
 def test_parse_entry_text_reads_the_header_degree():
