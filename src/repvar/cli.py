@@ -106,6 +106,8 @@ def _cmd_z1_alternating(args) -> int:
             entry = parse_entry_text(handle.read())
         if entry.degree != degree:
             raise ValueError(f"triple file degree {entry.degree} != --degree {degree}")
+        if p.genus != 0 or tuple(sorted(entry.periods)) != p.periods:
+            raise ValueError(f"triple file gamma={_csv(entry.periods)} does not name {p.text()}")
         generators = [x.cycle_type() for x in entry.generators]
         source = os.path.basename(args.triple)
     else:
@@ -150,22 +152,20 @@ _REASON_LABELS = {"angles": "a", "auxiliary": "d"}
 def _reason_fields(reason) -> tuple[str, dict]:
     """Text and JSON forms of a density reason, both led by its kind.
 
-    Fields render in declaration order: a tuple as ``label=(csv)`` and a
-    JSON list, an int bare, anything else as its ``str``.
+    Fields render in the record's ``_fields`` order: a tuple as
+    ``label=(csv)`` and a JSON list, an int bare, anything else as its ``str``.
     """
-    from dataclasses import fields
-
     kind = type(reason).__name__
     words, obj = [kind], {"kind": kind}
-    for field in fields(reason):
-        value = getattr(reason, field.name)
+    for name in reason._fields:
+        value = getattr(reason, name)
         if isinstance(value, tuple):
-            shown, obj[field.name] = f"({_csv(value)})", list(value)
+            shown, obj[name] = f"({_csv(value)})", list(value)
         elif isinstance(value, int):
-            shown = obj[field.name] = value
+            shown = obj[name] = value
         else:
-            shown = obj[field.name] = str(value)
-        words.append(f"{_REASON_LABELS.get(field.name, field.name)}={shown}")
+            shown = obj[name] = str(value)
+        words.append(f"{_REASON_LABELS.get(name, name)}={shown}")
     return " ".join(words), obj
 
 

@@ -16,14 +16,13 @@ representation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .eigen import exterior_square_fixed_dim, principal_fixed_dim
 from .liedata import RootSystem, dimension, so_dim
-from .presentation import FuchsianPresentation
+from .presentation import FuchsianPresentation, Record
 
 
 class MismatchedPeriodsError(ValueError):
@@ -38,8 +37,7 @@ class OrderMismatchError(ValueError):
     """A supplied permutation's order differs from its period."""
 
 
-@dataclass(frozen=True)
-class TorsionFixedData:
+class TorsionFixedData(Record):
     """Per-generator torsion data for one cocycle-dimension evaluation.
 
     ``torsion`` lists (period, fixed-space dimension) pairs, one per torsion

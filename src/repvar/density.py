@@ -19,13 +19,12 @@ group), which the verdict surfaces as a diagnostic note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
 from typing import Iterator, Optional, Union
 
-from .presentation import BadPeriodError, FuchsianPresentation
+from .presentation import BadPeriodError, FuchsianPresentation, Record
 
 EXCEPTIONAL_SIGNATURES = frozenset(
     {(2, 4, 6), (2, 6, 6), (3, 4, 4), (3, 6, 6), (2, 6, 10), (4, 6, 12)}
@@ -39,23 +38,19 @@ _SHADOWED_TRIPLES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class GenusPositive:
+class GenusPositive(Record):
     pass
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TriangleWitness:
+class TriangleWitness(Record):
     angles: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class InductiveReduction:
+class InductiveReduction(Record):
     """One reduction step: split the two largest periods off with a shared
     auxiliary period, leaving a shorter tuple."""
 
@@ -64,8 +59,7 @@ class InductiveReduction:
     auxiliary: int
 
 
-@dataclass(frozen=True)
-class IndexTwoRealization:
+class IndexTwoRealization(Record):
     parent: FuchsianPresentation
 
 
@@ -74,8 +68,7 @@ Reason = Union[
 ]
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
+class DensityVerdict(Record):
     """A classification: the branch of the argument, plus an optional diagnostic."""
 
     reason: Reason

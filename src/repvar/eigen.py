@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .liedata import RootSystem, exponents
-from .presentation import INT_TOKEN
+from .presentation import INT_TOKEN, Record
 
 
 class DegreeMismatchError(ValueError):
     """Permutations of different degrees were combined."""
 
 
-@dataclass(frozen=True)
-class EigenProfile:
+class EigenProfile(Record):
     """Multiplicity vector of d-th-root-of-unity eigenvalues.
 
     ``multiplicities[j]`` is the multiplicity of exp(2*pi*i*j/d), one entry
@@ -57,8 +55,7 @@ class EigenProfile:
         return sum(self.multiplicities)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection of {1..n}; ``images[i]`` is the image of point i+1."""
 
     images: tuple[int, ...]

@@ -13,10 +13,9 @@ check on the exponent tables.  D_3 is accepted as an alias for A_3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import re
 
-from .presentation import INT_TOKEN
+from .presentation import INT_TOKEN, Record
 
 # the exceptional systems, the only valid (letter, rank) pairs of E, F and G
 _EXCEPTIONAL_EXPONENTS = {
@@ -30,8 +29,7 @@ _EXCEPTIONAL_EXPONENTS = {
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """A simple root system: family letter + rank for all nine families."""
 
     family: str
@@ -72,8 +70,7 @@ def dimension(rs: RootSystem) -> int:
     return sum(2 * e + 1 for e in exponents(rs))
 
 
-@dataclass(frozen=True)
-class ClassicalGroup:
+class ClassicalGroup(Record):
     """A compact classical group SO(n) or SU(n), n >= 2."""
 
     kind: str  # "SO" or "SU"

@@ -28,7 +28,6 @@ product convention is function composition: x1*x2*x3 applies x3 first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
 import random
@@ -45,7 +44,7 @@ from .eigen import (
     perm_parity,
 )
 from .liedata import so_dim
-from .presentation import FuchsianPresentation, parse_int_token
+from .presentation import FuchsianPresentation, Record, parse_int_token
 
 _Images = tuple[int, ...]  # 0-based: images[i] is the image of point i
 # warm start: stream seed, steps before the first sift, identity sifts that end it
@@ -261,8 +260,7 @@ def generates_alternating(gens: Sequence[Permutation], n: int) -> bool:
     return group_order(gens) == max(1, factorial(n) // 2)
 
 
-@dataclass(frozen=True)
-class AppendixEntry:
+class AppendixEntry(Record):
     """A labelled triple ``generators = (x1, x2, x3)`` for one signature.
 
     The shipped entries satisfy x1*x2*x3 = 1 with orders matching the label's
@@ -279,8 +277,7 @@ class AppendixEntry:
         return "%d,%d,%d" % self.periods
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(Record):
     """Outcome flags of one certification run; ``ok`` is their conjunction."""
 
     label: str

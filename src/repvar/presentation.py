@@ -15,7 +15,6 @@ and no floating point is used anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import re
 from typing import Iterable
@@ -30,6 +29,51 @@ def parse_int_token(text: str) -> int:
     if INT_TOKEN.fullmatch(text) is None:
         raise ValueError(f"not an integer token: {text!r}")
     return int(text)
+
+
+class Record:
+    """Immutable record: annotated fields in order (``_fields``), class attributes
+    as their defaults.  The generated ``__init__`` ends in ``self.__post_init__()``
+    where the class defines one.  Records compare, hash and print by field tuple.
+    """
+
+    def __init_subclass__(cls) -> None:
+        # under `from __future__ import annotations` these are strings, never evaluated
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls.__match_args__ = cls._fields
+        params = ["self"]
+        lines = []
+        for name in cls._fields:
+            params.append(f"{name}=cls.{name}" if name in cls.__dict__ else name)
+            lines.append(f"    object.__setattr__(self, {name!r}, {name})")
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        source = f"def __init__({', '.join(params)}):\n" + "\n".join(lines or ["    pass"])
+        namespace = {"cls": cls}
+        exec(source, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in TypeErrors
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} fields are read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} fields are read-only")
 
 
 class SignatureError(ValueError):
@@ -60,8 +104,7 @@ def euler_characteristic(genus: int, periods: Iterable[int]) -> Fraction:
     return Fraction(2) - 2 * genus - sum(1 - Fraction(1, d) for d in periods)
 
 
-@dataclass(frozen=True)
-class FuchsianPresentation:
+class FuchsianPresentation(Record):
     """A hyperbolic signature (g; d_1, ..., d_m), periods sorted ascending.
 
     Construction rejects any signature with chi >= 0, so every instance

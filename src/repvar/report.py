@@ -7,21 +7,19 @@ render as ``p/q`` with the denominator omitted when it is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycle import z1_dim_principal
 from .eigen import principal_fixed_dim
 from .liedata import RootSystem, dimension, parse_root_system
-from .presentation import FuchsianPresentation
+from .presentation import FuchsianPresentation, Record
 
 COLUMNS = ("A1", "E6", "E7", "E8", "F4", "G2")
 
 TMINUSDIM_ROWS = ((2, 2, 2, 3), (2, 3, 7), (2, 4, 5), (3, 3, 4))
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     name: str
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]

@@ -90,6 +90,34 @@ def test_z1_alternating(capsys, tmp_path):
     assert (code, out, err) == (0, "9419\n", "")
 
 
+def test_triple_file_header_must_name_the_signature(capsys, tmp_path):
+    # a triple file is a genus-0 triangle group: its header's periods are the
+    # signature's, and a file that names another one is bad input
+    lines = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()
+    triple = tmp_path / "triple.txt"
+    for header, signature in (
+        ("gamma=3,3,3;degree=14", "g=0;d=2,4,6"),
+        ("gamma=3,3,3;degree=14", "g=1;d=2,4,6"),
+        ("gamma=2,4,6;degree=14", "g=1;d=2,4,6"),
+        ("gamma=2,4,7;degree=14", "g=0;d=2,4,6"),
+    ):
+        triple.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+        gamma = header.split(";")[0]
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "z1", "alternating", signature, "--degree", "14",
+                "--triple", str(triple), "--format", fmt,
+            )
+            expected = f"error: triple file {gamma} does not name {signature}\n"
+            assert (code, out, err) == (2, "", expected), (header, signature, fmt)
+    # the header's periods are a multiset: their order in the file is free
+    triple.write_text("\n".join(["gamma=6,2,4;degree=14", *lines[1:]]) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
+    )
+    assert (code, out, err) == (0, "90\n", "")
+
+
 def test_alternating_z1_builds_no_eigenprofile(capsys, tmp_path, monkeypatch):
     # fixed dimensions come from cycle types, on every path that reaches them
     import repvar.cocycle

@@ -77,6 +77,7 @@ if sys.argv[1:]:
     from repvar.cli import main
     main(sys.argv[1:])
 print(" ".join(sorted(k for k in sys.modules if k.split(".")[0] == "repvar")))
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 """
 
 FORMULAS = ["repvar.cocycle", "repvar.eigen", "repvar.liedata", "repvar.presentation"]
@@ -103,4 +104,64 @@ def test_each_call_loads_only_what_its_subcommand_needs(tmp_path):
         out = subprocess.run(
             [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, check=True,
         ).stdout
-        assert out.splitlines()[-1].split() == sorted(expected), argv
+        *_, loaded, heavy = out.split("\n")[:-1]
+        assert loaded.split() == sorted(expected), argv
+        # records are plain classes, so no call pays for dataclasses or inspect
+        assert heavy == "", argv
+
+
+def test_records_keep_the_frozen_record_contract(monkeypatch):
+    from repvar.cocycle import TorsionFixedData
+    from repvar.density import (
+        DensityVerdict, ExceptionalSet, GenusPositive, IndexTwoRealization, InductiveReduction,
+    )
+    from repvar.presentation import FuchsianPresentation
+
+    parent = IndexTwoRealization(FuchsianPresentation(0, (2, 4, 5)))
+    cases = [
+        (
+            FuchsianPresentation(0, (7, 3, 2)), (0, (2, 3, 7)),
+            "FuchsianPresentation(genus=0, periods=(2, 3, 7))",
+        ),
+        (
+            DensityVerdict(parent, "x"), (parent, "x"),
+            "DensityVerdict(reason=IndexTwoRealization(parent=FuchsianPresentation("
+            "genus=0, periods=(2, 4, 5))), note='x')",
+        ),
+        (
+            InductiveReduction((2, 3), (2, 3, 7), 5), ((2, 3), (2, 3, 7), 5),
+            "InductiveReduction(retained=(2, 3), split=(2, 3, 7), auxiliary=5)",
+        ),
+        (
+            TorsionFixedData(((2, 1),), 5), (((2, 1),), 5, 0),
+            "TorsionFixedData(torsion=((2, 1),), dim_v=5, invariant_dual_dim=0)",
+        ),
+    ]
+    for record, values, text in cases:
+        assert repr(record) == text
+        assert record == type(record)(*values) and hash(record) == hash(values), text
+        assert record != values and record != DensityVerdict(GenusPositive()), text
+    assert GenusPositive() == GenusPositive() and GenusPositive() != ExceptionalSet()
+    assert hash(GenusPositive()) == hash(())
+    # keyword construction and defaults
+    assert TorsionFixedData(dim_v=5, torsion=((2, 1),)) == TorsionFixedData(((2, 1),), 5, 0)
+    assert DensityVerdict(reason=GenusPositive()).note == ""
+    # fields are read-only: assigning or deleting one raises AttributeError
+    p = FuchsianPresentation(0, (2, 3, 7))
+    for name in ("genus", "periods"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == FuchsianPresentation(0, (2, 3, 7))
+    # positional class patterns match fields in declaration order
+    match p:
+        case FuchsianPresentation(genus, periods):
+            assert (genus, periods) == (0, (2, 3, 7))
+        case _:
+            pytest.fail("positional pattern did not match")
+    # __post_init__ is looked up on each construction, so a patched one runs
+    seen = []
+    monkeypatch.setattr(FuchsianPresentation, "__post_init__", lambda self: seen.append(self))
+    q = FuchsianPresentation(1, (9, 2))
+    assert seen == [q] and q.periods == (9, 2)
