@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "density": (
         "DensityVerdict", "interval_coprime", "is_so3_dense",
-        "scan_hyperbolic_triples", "strict_triangle", "triangle_witness",
+        "scan_hyperbolic_triples", "triangle_witness",
     ),
     "eigen": (
         "EigenProfile", "Permutation", "balanced_class", "exterior_square_fixed_dim",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "generates_alternating", "group_order", "verify_appendix_entry",
     ),
     "presentation": (
-        "BadPeriodError", "FuchsianPresentation", "NonHyperbolicError", "Rational",
+        "BadPeriodError", "FuchsianPresentation", "NonHyperbolicError",
         "euler_characteristic", "parse_presentation", "validate",
     ),
     "report": ("defect_table", "genus0_all2_values", "tminusdim_table"),

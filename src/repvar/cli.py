@@ -72,7 +72,7 @@ def _cmd_validate(args) -> int:
         )
         return 1
     chi = p.euler_characteristic()
-    _emit(args, f"ok {p.text()} chi={chi}\n", ok=True, presentation=p.text(), chi=str(chi))
+    _emit(args, f"ok {p} chi={chi}\n", ok=True, presentation=str(p), chi=str(chi))
     return 0
 
 
@@ -85,7 +85,7 @@ def _cmd_z1_principal(args) -> int:
     rs = parse_root_system(args.root_system)
     z1 = z1_dim_principal(p, rs)
     _emit(
-        args, f"{z1}\n", presentation=p.text(), root_system=rs.label(),
+        args, f"{z1}\n", presentation=str(p), root_system=str(rs),
         z1=z1, dim=dimension(rs), t_minus_dim=z1 - dimension(rs),
     )
     return 0
@@ -107,7 +107,7 @@ def _cmd_z1_alternating(args) -> int:
         if entry.degree != degree:
             raise ValueError(f"triple file degree {entry.degree} != --degree {degree}")
         if p.genus != 0 or tuple(sorted(entry.periods)) != p.periods:
-            raise ValueError(f"triple file gamma={_csv(entry.periods)} does not name {p.text()}")
+            raise ValueError(f"triple file gamma={_csv(entry.periods)} does not name {p}")
         generators = [x.cycle_type() for x in entry.generators]
         source = os.path.basename(args.triple)
     else:
@@ -116,7 +116,7 @@ def _cmd_z1_alternating(args) -> int:
     z1 = z1_dim_alternating_so(p, generators, degree)
     dim_so = so_dim(degree - 1)
     _emit(
-        args, f"{z1}\n", presentation=p.text(), degree=degree, generators=source,
+        args, f"{z1}\n", presentation=str(p), degree=degree, generators=source,
         z1=z1, so_dim=dim_so, margin=z1 - dim_so,
     )
     return 0
@@ -133,13 +133,13 @@ def _cmd_upper_bound(args) -> int:
     token = args.group
     if token.strip().startswith("S"):  # SO(n) or SU(n); the root systems are A..G
         g = parse_classical_group(token)
-        dim, rank, label = classical_dim(g), classical_rank(g), str(g)
+        dim, rank = classical_dim(g), classical_rank(g)
     else:
-        rs = parse_root_system(token)
-        dim, rank, label = dimension(rs), rs.rank, rs.label()
+        g = parse_root_system(token)
+        dim, rank = dimension(g), g.rank
     bound = upper_bound(p, dim, rank)
     _emit(
-        args, f"{bound}\n", presentation=p.text(), group=label,
+        args, f"{bound}\n", presentation=str(p), group=str(g),
         dim=dim, rank=rank, bound=str(bound),
     )
     return 0
@@ -181,7 +181,7 @@ def _cmd_density(args) -> int:
     if verdict.note:
         text += f"note: {verdict.note}\n"
         note["note"] = verdict.note
-    _emit(args, text, presentation=p.text(), dense=verdict.dense, reason=reason, **note)
+    _emit(args, text, presentation=str(p), dense=verdict.dense, reason=reason, **note)
     return 0
 
 

@@ -19,7 +19,6 @@ group), which the verdict surfaces as a diagnostic note.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
 from typing import Iterator, Optional, Union
@@ -77,14 +76,6 @@ class DensityVerdict(Record):
     @property
     def dense(self) -> bool:
         return not isinstance(self.reason, ExceptionalSet)
-
-
-def strict_triangle(q1: Fraction, q2: Fraction, q3: Fraction) -> bool:
-    """Strict triangle inequality on three rationals from (0, 1/2]."""
-    for q in (q1, q2, q3):
-        if not 0 < q <= Fraction(1, 2):
-            raise ValueError(f"angle fraction {q} outside (0, 1/2]")
-    return q1 < q2 + q3 and q2 < q1 + q3 and q3 < q1 + q2
 
 
 def triangle_witness(
@@ -229,7 +220,9 @@ def _reduction_step(periods: tuple[int, ...]) -> InductiveReduction:
     candidates = [split_pair, periods[:2]] if len(periods) == 4 else [split_pair]
     parts = [pair for pair in candidates if pair != (2, 2)]
     for aux in range(7, 1001):  # paper: any sufficiently large d works
-        if all(_least_witness(p, q, aux, True) is not None for p, q in parts):
+        # a witness exists or not whatever the order of the periods, and the
+        # search is cheap when the first two are small
+        if all(_least_witness(*sorted((p, q, aux)), True) is not None for p, q in parts):
             break
     else:
         raise ArithmeticError(f"no auxiliary period found for {periods}")

@@ -28,6 +28,8 @@ _EXCEPTIONAL_EXPONENTS = {
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
+MAX_RANK = 10**6  # exponents lists rank entries; z1 principal at 10^6: 1 s on 2 vCPUs
+
 
 class RootSystem(Record):
     """A simple root system: family letter + rank for all nine families."""
@@ -39,14 +41,13 @@ class RootSystem(Record):
         if self.family in _MIN_RANK:
             if self.rank < _MIN_RANK[self.family]:
                 raise ValueError(f"{self.family}_n needs rank >= {_MIN_RANK[self.family]}")
+            if self.rank > MAX_RANK:
+                raise ValueError(f"rank must be <= {MAX_RANK}")
         elif (self.family, self.rank) not in _EXCEPTIONAL_EXPONENTS:
             raise ValueError(f"no simple root system {self.family}{self.rank}")
 
-    def label(self) -> str:
-        return f"{self.family}{self.rank}"
-
     def __str__(self) -> str:
-        return self.label()
+        return f"{self.family}{self.rank}"
 
 
 def exponents(rs: RootSystem) -> tuple[int, ...]:

@@ -37,7 +37,6 @@ from .cocycle import z1_dim_alternating_so
 from .eigen import (
     DegreeMismatchError,
     Permutation,
-    cycles_text,
     perm_compose,
     perm_from_cycles,
     perm_order,
@@ -345,7 +344,7 @@ def verify_appendix_entry(entry: AppendixEntry) -> AppendixReport:
 def entry_to_text(entry: AppendixEntry) -> str:
     """Serialize: ``gamma=d1,d2,d3;degree=n`` header plus three cycle lines."""
     header = "gamma=%d,%d,%d;degree=%d" % (*entry.periods, entry.degree)
-    return "\n".join([header, *(cycles_text(x) for x in entry.generators)]) + "\n"
+    return "\n".join([header, *map(str, entry.generators)]) + "\n"
 
 
 def parse_entry_text(text: str) -> AppendixEntry:

@@ -9,8 +9,7 @@ and the signature is admissible (hyperbolic) exactly when chi < 0.  Periods
 are kept sorted: the genus and the period multiset determine the group up to
 isomorphism, so order is never significant.
 
-All arithmetic is exact; ``Rational`` is an alias for ``fractions.Fraction``
-and no floating point is used anywhere in the package.
+All arithmetic is exact: no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 import re
 from typing import Iterable
-
-Rational = Fraction
 
 INT_TOKEN = re.compile("0|[1-9][0-9]*")  # ASCII; no sign, padding or leading zeros
 
@@ -131,16 +128,9 @@ class FuchsianPresentation(Record):
     def euler_characteristic(self) -> Fraction:
         return euler_characteristic(self.genus, self.periods)
 
-    def is_triangle_group(self) -> bool:
-        """True iff genus 0 with exactly three periods."""
-        return self.genus == 0 and len(self.periods) == 3
-
-    def text(self) -> str:
+    def __str__(self) -> str:
         """Render in the CLI syntax, e.g. ``g=0;d=2,3,7`` (empty: ``g=2;d=``)."""
         return f"g={self.genus};d=" + ",".join(str(d) for d in self.periods)
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 def validate(genus: int, periods: Iterable[int]) -> FuchsianPresentation:

@@ -18,6 +18,8 @@ COLUMNS = ("A1", "E6", "E7", "E8", "F4", "G2")
 
 TMINUSDIM_ROWS = ((2, 2, 2, 3), (2, 3, 7), (2, 4, 5), (3, 3, 4))
 
+MAX_GENUS0_M = 10**4  # the signature has m periods; tables genus0 at 10^4: 1 s on 2 vCPUs
+
 
 class Table(Record):
     name: str
@@ -70,6 +72,8 @@ def genus0_all2_values(m: int) -> tuple[int, ...]:
     """
     if m < 5:
         raise ValueError("need at least five periods (m = 4 all-2 is Euclidean)")
+    if m > MAX_GENUS0_M:
+        raise ValueError(f"m must be <= {MAX_GENUS0_M}")
     p = FuchsianPresentation(0, (2,) * m)
     values = []
     for rs in _column_systems():

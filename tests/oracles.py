@@ -59,7 +59,7 @@ def class_to_permutation(lengths: tuple[int, ...] | list[int]) -> Permutation:
 
 
 def fixed_points(x: Permutation) -> int:
-    return sum(1 for p in range(1, x.degree + 1) if x(p) == p)
+    return sum(1 for p in range(1, x.degree + 1) if x.images[p - 1] == p)
 
 
 def ext_square_fixed_oracle(x: Permutation) -> int:

@@ -426,7 +426,43 @@ def test_usage_errors(capsys):
     assert (code, out, err) == (2, "", "error: dmax must be <= 200\n")
 
 
+# each size has a stated limit that keeps a call near 1 s: the rank of a
+# root system, a permutation degree and the genus0 table's m
+SIZE_LIMITS = [
+    (("z1", "principal", "g=0;d=2,3,7", "A{}"), 10**6, "rank must be <= 1000000"),
+    (("upper-bound", "g=0;d=2,3,7", "B{}"), 10**6, "rank must be <= 1000000"),
+    (("z1", "alternating", "g=0;d=2,3,7", "--degree", "{}"), 10**6, "degree must be <= 1000000"),
+    (("tables", "genus0", "--m", "{}"), 10**4, "m must be <= 10000"),
+]
+
+
+def test_sizes_above_their_limits_exit_2(capsys, tmp_path):
+    for template, limit, message in SIZE_LIMITS:
+        for size in (limit + 1, 10**15):
+            argv = [arg.format(size) for arg in template]
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+        argv = [arg.format(limit // 100) for arg in template]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.count("\n") == 1 and err == "", argv
+    # a triple file's header degree has the same limit
+    lines = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()
+    triple = tmp_path / "triple.txt"
+    for degree in (10**6 + 1, 10**15):
+        header = f"gamma=2,4,6;degree={degree}"
+        triple.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
+        )
+        assert (code, out, err) == (2, "", "error: degree must be <= 1000000\n"), degree
+    # SO(n) has closed forms, so its upper bound takes any n
+    code, out, _ = run(capsys, "upper-bound", "g=0;d=2,3,7", f"SO({10**15})")
+    assert (code, out) == (0, "3583333333333349000000000000021/7\n")
+
+
 _INTS = st.integers(-3, 30).map(str)
+_HUGE = st.integers(10**15, 10**15 + 9).map(str)  # past every size limit
 _PERIODS = st.one_of(st.integers(2, 12), st.integers(-3, 30))  # mostly valid
 _SIGNATURES = st.one_of(
     st.builds(
@@ -439,13 +475,15 @@ _GROUPS = st.one_of(
     st.sampled_from(["A1", "A7", "B3", "C2", "D3", "D5", "E6", "E7", "E8", "F4", "G2"]),
     st.builds("{}({})".format, st.sampled_from(["SO", "SU"]), st.integers(-3, 30)),
     st.sampled_from(["", "Q8", "A0", "B1", "D2", "E9", "SO(x)", "so(3)", "SU()"]),
+    st.builds("{}{}".format, st.sampled_from("ABCD"), _HUGE),
 )
 _LEAF_ARGVS = st.one_of(
     st.tuples(st.just("euler"), _SIGNATURES),
     st.tuples(st.just("validate"), _SIGNATURES),
     st.tuples(st.just("z1"), st.just("principal"), _SIGNATURES, _GROUPS),
     st.tuples(
-        st.just("z1"), st.just("alternating"), _SIGNATURES, st.just("--degree"), _INTS,
+        st.just("z1"), st.just("alternating"), _SIGNATURES,
+        st.just("--degree"), st.one_of(_INTS, _HUGE),
     ),
     st.tuples(st.just("upper-bound"), _SIGNATURES, _GROUPS),
     st.tuples(st.just("density"), _SIGNATURES),
@@ -463,7 +501,7 @@ _LEAF_ARGVS = st.one_of(
         ),
     ),
     st.tuples(st.just("tables"), st.sampled_from(["defect", "tminusdim", "genus0", "bogus"])),
-    st.tuples(st.just("tables"), st.just("genus0"), st.just("--m"), _INTS),
+    st.tuples(st.just("tables"), st.just("genus0"), st.just("--m"), st.one_of(_INTS, _HUGE)),
 )
 
 

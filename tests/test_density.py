@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -24,20 +25,9 @@ from repvar.density import (
     interval_coprime,
     is_so3_dense,
     scan_hyperbolic_triples,
-    strict_triangle,
     triangle_witness,
 )
 from repvar.presentation import FuchsianPresentation, NonHyperbolicError
-
-
-def test_strict_triangle_examples():
-    assert not strict_triangle(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    assert strict_triangle(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    assert strict_triangle(Fraction(1, 2), Fraction(1, 3), Fraction(3, 7))
-    with pytest.raises(ValueError):
-        strict_triangle(Fraction(1, 2), Fraction(2, 3), Fraction(1, 4))
-    with pytest.raises(ValueError):
-        strict_triangle(Fraction(0), Fraction(1, 3), Fraction(1, 4))
 
 
 def test_triangle_witness_examples():
@@ -74,8 +64,8 @@ def test_witness_validity_and_monotonicity():
                 loose = triangle_witness(d1, d2, d3, strict=False)
                 if strict is None:
                     continue
-                qs = [Fraction(a, d) for a, d in zip(strict, (d1, d2, d3))]
-                assert strict_triangle(*qs)
+                q1, q2, q3 = (Fraction(a, d) for a, d in zip(strict, (d1, d2, d3)))
+                assert q1 < q2 + q3 and q2 < q1 + q3 and q3 < q1 + q2
                 for a, d in zip(strict, (d1, d2, d3)):
                     assert gcd(a, d) == 1 and 0 < Fraction(a, d) <= Fraction(1, 2)
                 # a strict witness is in particular a non-strict witness, so
@@ -330,6 +320,32 @@ def test_reduction_auxiliary_is_always_seven():
             reason = is_so3_dense(FuchsianPresentation(0, (2, 2, p, q))).reason
             assert isinstance(reason, InductiveReduction)
             assert (reason.auxiliary, reason.split) == (7, (p, q, 7)), (p, q)
+
+
+def test_reduction_step_with_two_huge_periods():
+    # the existence test searches the smallest period first, so two periods
+    # near 10^15 cost no more than small ones
+    start = time.perf_counter()
+    verdict = is_so3_dense(FuchsianPresentation(0, (2, 2, 10**15, 10**15 + 1)))
+    assert time.perf_counter() - start < 1
+    assert verdict.reason == InductiveReduction((2, 2, 7), (10**15, 10**15 + 1, 7), 7)
+
+
+def test_witness_existence_ignores_the_order_of_the_periods():
+    # whether a strict witness exists does not depend on the order of the
+    # three (a_i, d_i) pairs, which the reduction step's sorted search uses
+    missing = set()
+    for p in range(2, 25):
+        for q in range(p, 25):
+            for aux in range(7, 31):
+                found = {
+                    density._least_witness(*order, True) is not None
+                    for order in itertools.permutations((p, q, aux))
+                }
+                assert len(found) == 1, (p, q, aux)
+                if not found.pop():
+                    missing.add((p, q, aux))
+    assert missing == {(2, 6, 10), (4, 6, 12)}
 
 
 def test_reduction_without_auxiliary_raises(monkeypatch):

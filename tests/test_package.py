@@ -1,6 +1,8 @@
 """The package surface, and which modules each CLI call loads."""
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ EXPORTS = [
     "APPENDIX_ENTRIES", "AppendixEntry", "AppendixReport", "BadPeriodError",
     "ClassicalGroup", "DensityVerdict", "EigenProfile", "FuchsianPresentation",
     "MismatchedPeriodsError", "NonHyperbolicError", "NonIntegerResultError",
-    "OrderMismatchError", "Permutation", "Rational", "RootSystem", "StabilizerChain",
+    "OrderMismatchError", "Permutation", "RootSystem", "StabilizerChain",
     "TorsionFixedData", "balanced_class", "classical_dim", "classical_rank",
     "defect_table", "density_criterion_compare", "dimension", "euler_characteristic",
     "exceptional_inequality", "exponents", "exterior_square_fixed_dim",
@@ -21,7 +23,7 @@ EXPORTS = [
     "is_so3_dense", "parse_classical_group", "parse_presentation", "parse_root_system",
     "perm_compose", "perm_from_cycles", "perm_order", "perm_parity",
     "principal_eigenprofile", "principal_fixed_dim", "scan_hyperbolic_triples",
-    "strict_triangle", "su_centralizer_dim",
+    "su_centralizer_dim",
     "tminusdim_table", "triangle_witness", "upper_bound", "validate",
     "verify_appendix_entry", "z1_dim", "z1_dim_alternating_so", "z1_dim_principal",
 ]
@@ -44,6 +46,36 @@ def test_exports_resolve_to_their_module_attributes():
     assert not hasattr(repvar, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         repvar.no_such_name
+
+
+# the exported names no module of the package uses, each with why it stays
+UNCALLED_EXPORTS = {
+    # the paper's subgroup-comparison criterion, t_G - dim G > t_H - dim H
+    "density_criterion_compare",
+    # that criterion against SO(3) on principal data; perfbench's survey calls it
+    "exceptional_inequality",
+    # these two state the paper's SU(n) centralizer bound, checked by acceptance 8
+    "principal_eigenprofile",
+    "su_centralizer_dim",
+}
+
+
+def test_every_export_is_used_inside_the_package():
+    # a name counts as used where it is read (a Load of a Name or Attribute)
+    # or imported; defining or assigning it is not a use
+    src = pathlib.Path(repvar.__file__).parent
+    used = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(repvar.__all__) - used - UNCALLED_EXPORTS) == []
+    # and the allowlist names only exported names that are in fact unused
+    assert sorted(UNCALLED_EXPORTS - (set(repvar.__all__) - used)) == []
 
 
 STDLIB_PROBE = """\

@@ -251,7 +251,8 @@ def test_stabilizer_chain_structure():
         assert again.level_generators(0) == chain.level_generators(0)
         assert again.transversals == chain.transversals
         # the base is 1-based and starts at the least point moved by gens[0]
-        assert chain.base[0] == min(p for p in range(1, chain.degree + 1) if gens[0](p) != p)
+        moved = [p for p in range(1, chain.degree + 1) if gens[0].images[p - 1] != p]
+        assert chain.base[0] == min(moved)
         assert all(1 <= b <= chain.degree for b in chain.base)
         assert len(set(chain.base)) == len(chain.base) == len(chain.transversals)
         # order is the product of basic orbit sizes, with valid representatives
@@ -261,15 +262,15 @@ def test_stabilizer_chain_structure():
             assert transversal[point].is_identity()
             for target, rep in transversal.items():
                 assert isinstance(rep, Permutation)
-                assert rep(point) == target
-                assert all(rep(b) == b for b in chain.base[:level])
+                assert rep.images[point - 1] == target
+                assert all(rep.images[b - 1] == b for b in chain.base[:level])
         assert product == chain.order()
         # one placement rule: S^(i) is exactly the strong generators fixing
         # base[:i], in the order of S^(0), and no generator is stored twice
         strong = chain.level_generators(0)
         assert len(set(strong)) == len(strong)
         for level in range(len(chain.base) + 1):
-            fixing = [g for g in strong if all(g(b) == b for b in chain.base[:level])]
+            fixing = [g for g in strong if all(g.images[b - 1] == b for b in chain.base[:level])]
             assert chain.level_generators(level) == fixing
         assert all(isinstance(g, Permutation) for g in strong)
         assert group_order(strong) == chain.order()

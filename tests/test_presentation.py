@@ -46,12 +46,6 @@ def test_periods_are_sorted_and_order_insensitive():
     assert a.euler_characteristic() == b.euler_characteristic()
 
 
-def test_is_triangle_group():
-    assert validate(0, (2, 3, 7)).is_triangle_group()
-    assert not validate(1, (5,)).is_triangle_group()
-    assert not validate(0, (2, 2, 2, 3)).is_triangle_group()
-
-
 def test_all_valid_presentations_are_hyperbolic():
     # every constructible signature has negative Euler characteristic
     for g in range(3):
@@ -78,8 +72,8 @@ def test_triangle_hyperbolicity_criterion():
 def test_signature_text_round_trip():
     for text in ("g=0;d=2,3,7", "g=2;d=", "g=1;d=5", "g=0;d=2,2,2,3"):
         p = parse_presentation(text)
-        assert p.text() == text
-        assert parse_presentation(p.text()) == p
+        assert str(p) == text
+        assert parse_presentation(str(p)) == p
 
 
 def test_parse_rejects_malformed_text():
