@@ -138,7 +138,7 @@ def perm_from_cycles(text: str, degree: int) -> Permutation:
 
 def perm_order(x: Permutation) -> int:
     """Order = lcm of the cycle lengths."""
-    return lcm(*x.cycle_type()) if x.degree else 1
+    return lcm(*x.cycle_type())
 
 
 def perm_parity(x: Permutation) -> str:

@@ -1,13 +1,13 @@
 """Deterministic permutation-group engine and the shipped generating triples.
 
 The engine is an incremental Schreier-Sims stabilizer chain that keeps S^(i)
-as one list per level.  Every strong generator, seed or residue, joins S^(0)
-to S^(i) for the first base point base[i] it moves (a new one, its least
-moved point, if it fixes the base); orbits grow in place, and each Schreier
-generator is sifted until it sifts to the identity once.  The warm start's
-random stream is seeded, reproducible bit for bit, and leaves the global
-``random`` state alone.  Orders are exact arbitrary-precision integers; the
-degrees of the shipped data (12 and 14) are nowhere near any limit.
+as one list per level.  Every strong generator, seed or residue, enters by
+one rule: it joins S^(0) to S^(i) for the first base point base[i] it moves
+(a new one, its least moved point, if it fixes the base), and the orbits it
+may grow are grown in place.  Each Schreier generator is sifted until it
+sifts to the identity once.  The warm start's stream of plain products is
+seeded, reproducible bit for bit, and leaves the global ``random`` state
+alone.  Orders are exact integers; the shipped degrees are 12 and 14.
 
 ``Permutation`` (1-based, validated) is the type at the boundary: chains are
 built from, test, and report ``Permutation``s.  Inside, the chain works on
@@ -46,8 +46,8 @@ from .liedata import so_dim
 from .presentation import FuchsianPresentation, Record, parse_int_token
 
 _Images = tuple[int, ...]  # 0-based: images[i] is the image of point i
-# warm start: stream seed, steps before the first sift, identity sifts that end it
-_PR_SEED, _PR_SCRAMBLE, _PR_MISSES = 0, 20, 5
+# warm start: stream seed, identity sifts in a row that end it
+_PR_SEED, _PR_MISSES = 0, 5
 
 
 class StabilizerChain:
@@ -73,24 +73,25 @@ class StabilizerChain:
     base only grow, and transversal entries are never replaced, so a sift
     takes the same path every time: the Schreier generators at a point that
     sifted to the identity once, a prefix of S^(i), still do and are never
-    sifted again.  A residue found at level i lies in <S^(i)>, so only the
-    deeper levels it joins are extended.  Once every Schreier generator
-    sifts to the identity, Schreier's lemma makes <S^(i+1)> the stabilizer
-    of base[i] in <S^(i)> at every level, and the chain is complete.
+    sifted again.  A new generator grows the orbits of the levels it joins:
+    all of them for a seed, those past i for a residue found at level i,
+    which lies in <S^(i)>.  Once every Schreier generator sifts to the
+    identity, Schreier's lemma makes <S^(i+1)> the stabilizer of base[i] in
+    <S^(i)> at every level, and the chain is complete.
 
-    Before that test, a transitive group is warm-started: a seeded
-    product-replacement stream of <gens> (Celler et al., 1995) is sifted from
-    level 0, each residue enters by the same rule, and the orbits of all the
-    levels it joins are extended.  Construction stops early once the orbit
-    lengths multiply to the parity ceiling: n!/2 when every generator is
-    even, n! otherwise.  That is sound because every element sifted lies in
-    G, so S^(i) fixes the first i base points, each orbit is built from
-    generators of a subgroup of the true stabilizer, and the product only
-    ever undercounts |G|, which is at most the ceiling.  Reaching it forces
-    every basic orbit to be complete and the base's pointwise stabilizer to
-    be trivial, so the chain is a valid BSGS and ``order`` and ``contains``
-    are exact; below it the Schreier test runs in full.  Chains are immutable
-    once built and safe to share.
+    Before that test, a transitive group is warm-started by product
+    replacement (Celler et al., 1995): each step sets x_s <- x_s * x_t for
+    random slots s != t of a pool of seeds and sifts the accumulator, times
+    x_s, from level 0, until 5 sifts in a row give the identity.  The chain
+    stops early once the orbit lengths multiply to the parity ceiling: n!/2
+    when every generator is even, n! otherwise.  That is sound because every
+    element sifted lies in G, so S^(i) fixes the first i base points, each
+    orbit is built from generators of a subgroup of the true stabilizer, and
+    the product only ever undercounts |G|, which is at most the ceiling.
+    Reaching it forces every basic orbit to be complete and the base's
+    pointwise stabilizer to be trivial, so the chain is a valid BSGS and
+    ``order`` and ``contains`` are exact; below it the Schreier test runs in
+    full.  Chains are immutable once built and safe to share.
     """
 
     def __init__(self, gens: Sequence[Permutation]):
@@ -110,9 +111,7 @@ class StabilizerChain:
         self._gens: list[list[tuple[_Images, _Images]]] = []
         for t in dict.fromkeys(map(_to_images, gens)):  # each distinct seed once
             if t != self._identity:
-                self._add_strong_generator(t)
-        for level in range(len(self._base)):
-            self._extend_orbit(level)
+                self._add_strong_generator(t, 0)
         if self._trans and len(self._trans[0]) == degree:  # else G stays below the ceiling
             self._warm_start()
         self._close()
@@ -144,9 +143,10 @@ class StabilizerChain:
 
     # -- construction internals, all on 0-based image tuples ---------------
 
-    def _add_strong_generator(self, g: _Images) -> int:
+    def _add_strong_generator(self, g: _Images, first: int) -> int:
         """Append g to S^(0..level), base[level] being the first base point g
-        moves (a new one if g fixes the base), and return level."""
+        moves (a new one if g fixes the base), grow the orbits of levels
+        first..level, and return level."""
         level = next((i for i, b in enumerate(self._base) if g[b] != b), len(self._base))
         if level == len(self._base):
             point = next(p for p, q in enumerate(g) if p != q)
@@ -159,25 +159,24 @@ class StabilizerChain:
         pair = (g, tuple(inv))
         for i in range(level + 1):
             self._gens[i].append(pair)
+        for i in range(first, level + 1):
+            self._extend_orbit(i)
         return level
 
     def _warm_start(self) -> None:
         """Sift a seeded product-replacement stream of <gens> from level 0."""
         rng = random.Random(_PR_SEED)
-        pool = (self._gens[0] * 11)[:max(11, len(self._gens[0]))]  # (x, x^-1) slots
-        acc, misses = self._identity, -_PR_SCRAMBLE  # the first steps only scramble
+        pool = ([s for s, _ in self._gens[0]] * 11)[:max(11, len(self._gens[0]))]
+        acc, misses = self._identity, 0
         while misses < _PR_MISSES and self.order() != self._ceiling:
-            # slot s times slot t or its inverse (the reversed pair), on a random side
             s, t = rng.sample(range(len(pool)), 2)
-            x, y = (pool[s], pool[t][::rng.choice((1, -1))])[::rng.choice((1, -1))]
-            pool[s] = (tuple(map(x[0].__getitem__, y[0])), tuple(map(y[1].__getitem__, x[1])))
-            acc = tuple(map(acc.__getitem__, pool[s][0]))
-            if misses < 0 or (residue := self._sift(acc, 0)) == self._identity:
+            pool[s] = tuple(map(pool[s].__getitem__, pool[t]))
+            acc = tuple(map(acc.__getitem__, pool[s]))
+            if (residue := self._sift(acc, 0)) == self._identity:
                 misses += 1
-            else:  # the residue joins S^(0..drop), so each of those orbits may grow
+            else:
                 misses = 0
-                for level in range(self._add_strong_generator(residue) + 1):
-                    self._extend_orbit(level)
+                self._add_strong_generator(residue, 0)
 
     def _extend_orbit(self, level: int) -> None:
         """Grow the level's orbit in place, breadth-first from its points."""
@@ -211,10 +210,7 @@ class StabilizerChain:
             if residue is None:
                 level -= 1
                 continue
-            drop = self._add_strong_generator(residue)
-            for lower in range(level + 1, drop + 1):
-                self._extend_orbit(lower)
-            level = drop
+            level = self._add_strong_generator(residue, level + 1)
 
     def _untested_residue(self, level: int, done: dict) -> _Images | None:
         """Residue of the first untested Schreier generator u_q^-1 * s * u_p
@@ -260,7 +256,7 @@ def generates_alternating(gens: Sequence[Permutation], n: int) -> bool:
 
 
 class AppendixEntry(Record):
-    """A labelled triple ``generators = (x1, x2, x3)`` for one signature.
+    """Three periods and three generators ``(x1, x2, x3)`` of one degree.
 
     The shipped entries satisfy x1*x2*x3 = 1 with orders matching the label's
     periods; arbitrary entries may violate that, which
@@ -270,6 +266,12 @@ class AppendixEntry(Record):
     periods: tuple[int, int, int]
     degree: int
     generators: tuple[Permutation, Permutation, Permutation]
+
+    def __post_init__(self) -> None:
+        if len(self.periods) != 3:
+            raise ValueError("entries carry exactly three periods")
+        if len(self.generators) != 3 or any(x.degree != self.degree for x in self.generators):
+            raise DegreeMismatchError(f"entries carry three generators of degree {self.degree}")
 
     @property
     def label(self) -> str:
@@ -365,8 +367,6 @@ def parse_entry_text(text: str) -> AppendixEntry:
         degree = parse_int_token(parts[1][len("degree="):])
     except ValueError:
         raise ValueError(f"bad header {header!r}") from None
-    if len(periods) != 3:
-        raise ValueError("entries carry exactly three periods")
     generators = tuple(perm_from_cycles(line, degree) for line in lines[1:])
     return AppendixEntry(periods, degree, generators)
 

@@ -92,6 +92,7 @@ def test_perm_basic_ops():
     three_cycle = perm_from_cycles("(1 2 3)", 5)
     assert perm_parity(three_cycle) == "even"
     assert perm_order(three_cycle) == 3
+    assert perm_order(Permutation(())) == 1  # lcm() of the empty cycle type
     ident = identity_perm(5)
     assert perm_compose(three_cycle, ident) == three_cycle
     assert perm_compose(ident, three_cycle) == three_cycle

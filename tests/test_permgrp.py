@@ -333,6 +333,21 @@ def test_broken_entry_reports_false_flags():
         assert not report.ok
 
 
+def test_appendix_entry_checks_its_shape():
+    # a wrong shape is refused at construction, so every entry that exists
+    # can be verified into a report of flags
+    entry = APPENDIX_ENTRIES[0]
+    with pytest.raises(DegreeMismatchError, match="three generators of degree 12"):
+        AppendixEntry(entry.periods, 12, entry.generators)
+    mixed = (*entry.generators[:2], identity_perm(12))
+    with pytest.raises(DegreeMismatchError, match="three generators of degree 14"):
+        AppendixEntry(entry.periods, 14, mixed)
+    with pytest.raises(DegreeMismatchError):
+        AppendixEntry(entry.periods, 14, entry.generators[:2])
+    with pytest.raises(ValueError, match="exactly three periods"):
+        AppendixEntry(entry.periods[:2], 14, entry.generators)
+
+
 def test_entry_serialization_round_trip():
     for entry in APPENDIX_ENTRIES:
         text = entry_to_text(entry)
