@@ -27,9 +27,8 @@ _EXPORTS = {
         "scan_hyperbolic_triples", "triangle_witness",
     ),
     "eigen": (
-        "EigenProfile", "Permutation", "balanced_class", "exterior_square_fixed_dim",
-        "perm_compose", "perm_from_cycles", "perm_order", "perm_parity",
-        "principal_eigenprofile", "principal_fixed_dim", "su_centralizer_dim",
+        "Permutation", "balanced_class", "exterior_square_fixed_dim", "perm_compose",
+        "perm_from_cycles", "perm_order", "perm_parity", "principal_fixed_dim",
     ),
     "liedata": (
         "ClassicalGroup", "RootSystem", "classical_dim", "classical_rank",

@@ -1,15 +1,11 @@
-"""Eigenvalue multiplicity bookkeeping for finite-order linear elements.
+"""Fixed-space dimensions of finite-order elements, as integer combinatorics.
 
-Eigenvalues of an order-d element are represented by residue indices mod d
-(index j standing for exp(2*pi*i*j/d)), never by floating-point complex
-numbers; every fixed-space dimension below is integer combinatorics on these
-residue vectors.
-
-Three element families are covered: images of torsion generators under a
-principal homomorphism (acting on the adjoint representation), permutations
-acting on the standard representation of the symmetric group, and arbitrary
-profiles inside SU(n).  A permutation enters as its cycle type, and its fixed
-dimension on the exterior square is an orbit count bounded by the degree.
+Two element families are covered.  An image of a torsion generator under a
+principal homomorphism, acting on the adjoint representation, enters as a
+root system and an order, and its fixed dimension is read off the exponents.
+A permutation, acting on the exterior square of the standard representation
+of the symmetric group, enters as its cycle type, and its fixed dimension is
+an orbit count bounded by the degree.
 """
 
 from __future__ import annotations
@@ -27,35 +23,6 @@ MAX_DEGREE = 10**6  # a permutation lists its images; z1 alternating at 10^6: 0.
 
 class DegreeMismatchError(ValueError):
     """Permutations of different degrees were combined."""
-
-
-class EigenProfile(Record):
-    """Multiplicity vector of d-th-root-of-unity eigenvalues.
-
-    ``multiplicities[j]`` is the multiplicity of exp(2*pi*i*j/d), one entry
-    per residue mod the order d; the ambient dimension is the total.
-    """
-
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.multiplicities:
-            raise ValueError("need at least one multiplicity")
-        if any(m < 0 for m in self.multiplicities):
-            raise ValueError("multiplicities must be non-negative")
-
-    @property
-    def order(self) -> int:
-        return len(self.multiplicities)
-
-    @property
-    def real(self) -> bool:
-        """Self-dual spectrum (m_j = m_{d-j mod d}), as for orthogonal and adjoint actions."""
-        return self.multiplicities[1:] == self.multiplicities[:0:-1]
-
-    @property
-    def dim(self) -> int:
-        return sum(self.multiplicities)
 
 
 class Permutation(Record):
@@ -153,27 +120,6 @@ def perm_compose(x: Permutation, y: Permutation) -> Permutation:
     return Permutation(tuple(x.images[q - 1] for q in y.images))
 
 
-def cycle_type_std_eigenprofile(lengths: tuple[int, ...] | list[int]) -> EigenProfile:
-    """Standard-representation profile of a permutation with given cycle type.
-
-    The permutation representation of a cycle of length c contributes, as an
-    order-d element (d = lcm of all lengths), one eigenvalue at each residue
-    j*(d/c) mod d; the standard representation drops one trivial summand, so
-    m_0 is decremented and the dimension is (degree - 1).
-    """
-    lengths = tuple(lengths)
-    if not lengths or any(c < 1 for c in lengths):
-        raise ValueError("cycle type must be a non-empty list of positive lengths")
-    d = lcm(*lengths)
-    mult = [0] * d
-    for c in lengths:
-        step = d // c
-        for j in range(c):
-            mult[(j * step) % d] += 1
-    mult[0] -= 1
-    return EigenProfile(tuple(mult))
-
-
 def exterior_square_fixed_dim(lengths: tuple[int, ...] | list[int]) -> int:
     """Fixed dimension on the exterior square of V, for cycle type ``lengths``
     (fixed points as 1s): on that of 1 + V, each <x>-orbit of e_i ^ e_j gives a
@@ -191,17 +137,6 @@ def exterior_square_fixed_dim(lengths: tuple[int, ...] | list[int]) -> int:
     return total
 
 
-def su_centralizer_dim(p: EigenProfile) -> int:
-    """Fixed dimension of Ad on su(n) for an element with profile p.
-
-    dim Z(x) + 1 = sum of squared multiplicities inside U(n); subtracting the
-    central line gives the centralizer dimension in SU(n).
-    """
-    if p.dim < 2:
-        raise ValueError("profile must have ambient dimension >= 2")
-    return sum(m * m for m in p.multiplicities) - 1
-
-
 def principal_fixed_dim(rs: RootSystem, d: int) -> int:
     """Adjoint fixed-space dimension of an order-d principal torsion image.
 
@@ -213,23 +148,6 @@ def principal_fixed_dim(rs: RootSystem, d: int) -> int:
     if d < 1:
         raise ValueError("order must be >= 1")
     return sum(1 + 2 * (e // d) for e in exponents(rs))
-
-
-def principal_eigenprofile(rs: RootSystem, d: int) -> EigenProfile:
-    """Order-d adjoint profile of a principal torsion image.
-
-    Each exponent e contributes the residues of -e, -e+1, ..., e mod d (the
-    2d-th root lift squares to a primitive d-th root, so adjoint eigenvalue
-    exponents are even and halve cleanly).  The profile is real, and m_0
-    equals ``principal_fixed_dim``.
-    """
-    if d < 2:
-        raise ValueError("order must be >= 2")
-    mult = [0] * d
-    for e in exponents(rs):
-        for k in range(-e, e + 1):
-            mult[k % d] += 1
-    return EigenProfile(tuple(mult))
 
 
 def balanced_class(n_points: int, d: int) -> tuple[int, ...]:

@@ -13,15 +13,19 @@ query per numerator pair, and Lie algebra dimensions go through the
 per-family closed forms rather than the exponents.
 
 The permutation helpers at the top (identity, inverse, power, a canonical
-permutation of a cycle type) are used only by tests and the oracles.
+permutation of a cycle type) are used only by tests and the oracles.  The
+two multiplicity builders give eigenvalue profiles as plain tuples, one entry
+per residue mod the order; acceptance 8 checks the paper's SU(n) centralizer
+bound on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from repvar.eigen import Permutation, cycle_type_std_eigenprofile, perm_compose, perm_order
+from repvar.eigen import Permutation, perm_compose, perm_order
+from repvar.liedata import RootSystem, exponents
 
 
 def identity_perm(n: int) -> Permutation:
@@ -81,12 +85,38 @@ def ext_square_fixed_oracle(x: Permutation) -> int:
     return int(value)
 
 
+def std_multiplicities(lengths: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """Standard-representation eigenvalue multiplicities of a cycle type.
+
+    Entry j counts exp(2*pi*i*j/d), d the lcm of the lengths: a c-cycle
+    gives one eigenvalue at each residue j*(d/c), and the standard
+    representation drops one trivial summand from entry 0.
+    """
+    d = lcm(*lengths)
+    m = [0] * d
+    for c in lengths:
+        for j in range(c):
+            m[j * (d // c)] += 1
+    m[0] -= 1
+    return tuple(m)
+
+
+def principal_multiplicities(rs: RootSystem, d: int) -> tuple[int, ...]:
+    """Adjoint eigenvalue multiplicities of an order-d principal torsion image:
+    each exponent e gives the residues of -e, -e+1, ..., e mod d."""
+    m = [0] * d
+    for e in exponents(rs):
+        for k in range(-e, e + 1):
+            m[k % d] += 1
+    return tuple(m)
+
+
 def ext_square_profile_oracle(lengths: tuple[int, ...] | list[int]) -> int:
     """Unordered pairs of standard-profile eigenvalues whose residues sum to 0
     mod the order d: C(m_0, 2) and C(m_{d/2}, 2), plus m_j * m_{d-j} for
     0 < j < d/2.  The profile has one entry per residue, so this costs the
     order, not the degree."""
-    m = cycle_type_std_eigenprofile(lengths).multiplicities
+    m = std_multiplicities(lengths)
     d = len(m)
     return sum(
         m[j] * (m[j] - 1) // 2 if 2 * j % d == 0 else m[j] * m[d - j]

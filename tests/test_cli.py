@@ -118,30 +118,6 @@ def test_triple_file_header_must_name_the_signature(capsys, tmp_path):
     assert (code, out, err) == (0, "90\n", "")
 
 
-def test_alternating_z1_builds_no_eigenprofile(capsys, tmp_path, monkeypatch):
-    # fixed dimensions come from cycle types, on every path that reaches them
-    import repvar.cocycle
-    from repvar.cocycle import z1_dim_alternating_so
-    from repvar.eigen import EigenProfile
-    from repvar.permgrp import verify_appendix_entry
-    from repvar.presentation import FuchsianPresentation
-
-    def no_profile(self):
-        raise AssertionError("an EigenProfile was built")
-
-    monkeypatch.setattr(EigenProfile, "__post_init__", no_profile)
-    assert not hasattr(repvar.cocycle, "Permutation")
-    entry = APPENDIX_ENTRIES[0]
-    types = [x.cycle_type() for x in entry.generators]
-    assert z1_dim_alternating_so(FuchsianPresentation(0, entry.periods), types, 14) == 90
-    assert verify_appendix_entry(entry).ok
-    triple = tmp_path / "triple.txt"
-    triple.write_text(entry_to_text(entry), encoding="utf-8")
-    for extra in ((), ("--triple", str(triple))):
-        code, out, err = run(capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", *extra)
-        assert code == 0 and out.strip().isdigit() and err == "", extra
-
-
 def test_triple_file_with_long_malformed_cycle_line(capsys, tmp_path):
     triple = tmp_path / "triple.txt"
     lines = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()

@@ -14,21 +14,19 @@ from oracles import (
     partitions,
     perm_inverse,
     perm_power,
+    principal_multiplicities,
+    std_multiplicities,
 )
 from repvar.eigen import (
     DegreeMismatchError,
-    EigenProfile,
     Permutation,
     balanced_class,
-    cycle_type_std_eigenprofile,
     exterior_square_fixed_dim,
     perm_compose,
     perm_from_cycles,
     perm_order,
     perm_parity,
-    principal_eigenprofile,
     principal_fixed_dim,
-    su_centralizer_dim,
 )
 from repvar.liedata import RootSystem, dimension
 
@@ -43,19 +41,6 @@ def _all_systems(max_rank):
     return systems
 
 
-def test_eigenprofile_invariants():
-    p = EigenProfile((1, 1, 1))
-    assert (p.order, p.dim, p.real) == (3, 3, True)
-    with pytest.raises(ValueError):
-        EigenProfile(())
-    with pytest.raises(ValueError):
-        EigenProfile((1, -1, 1))
-    assert not EigenProfile((1, 2, 0, 1)).real  # m_1 != m_3
-    assert [EigenProfile(m).real for m in ((4,), (1, 2), (0, 1, 2), (2, 1, 5, 1))] == [
-        True, True, False, True
-    ]
-
-
 def test_principal_fixed_dim_examples():
     assert principal_fixed_dim(RootSystem("E", 8), 2) == 120
     assert principal_fixed_dim(RootSystem("E", 6), 2) == 38
@@ -65,24 +50,12 @@ def test_principal_fixed_dim_examples():
         principal_fixed_dim(RootSystem("E", 8), 0)
 
 
-def test_principal_eigenprofile_examples():
-    a1 = RootSystem("A", 1)
-    assert principal_eigenprofile(a1, 2).multiplicities == (1, 2)
-    assert principal_eigenprofile(a1, 3).multiplicities == (1, 1, 1)
-    g2 = principal_eigenprofile(RootSystem("G", 2), 7)
-    assert g2.multiplicities[0] == 2
-    assert g2.real
-    with pytest.raises(ValueError, match="order must be >= 2"):
-        principal_eigenprofile(a1, 1)
-
-
 def test_principal_profile_m0_matches_fixed_dim():
     for rs in _all_systems(12):
         for d in range(2, 25):
-            profile = principal_eigenprofile(rs, d)
-            assert profile.multiplicities[0] == principal_fixed_dim(rs, d)
-            assert profile.dim == dimension(rs)
-            assert profile.real
+            m = principal_multiplicities(rs, d)
+            assert m[0] == principal_fixed_dim(rs, d)
+            assert sum(m) == dimension(rs)
 
 
 def test_perm_basic_ops():
@@ -157,19 +130,15 @@ def test_long_malformed_cycle_line_fails_fast():
 
 
 def test_perm_std_eigenprofile_examples():
-    p = cycle_type_std_eigenprofile(identity_perm(5).cycle_type())
-    assert (p.order, p.multiplicities) == (1, (4,))
-    p = cycle_type_std_eigenprofile(perm_from_cycles("(1 2 3)", 3).cycle_type())
-    assert (p.order, p.multiplicities) == (3, (0, 1, 1))
-    p = cycle_type_std_eigenprofile(perm_from_cycles("(1 2)(3 4)", 4).cycle_type())
-    assert (p.order, p.multiplicities) == (2, (1, 2))
+    assert std_multiplicities(identity_perm(5).cycle_type()) == (4,)
+    assert std_multiplicities(perm_from_cycles("(1 2 3)", 3).cycle_type()) == (0, 1, 1)
+    assert std_multiplicities(perm_from_cycles("(1 2)(3 4)", 4).cycle_type()) == (1, 2)
     # the balanced involution: six 2-cycles and two fixed points on 14 points
-    p = cycle_type_std_eigenprofile(balanced_class(14, 2))
-    assert (p.order, p.multiplicities) == (2, (7, 6))
+    assert std_multiplicities(balanced_class(14, 2)) == (7, 6)
     # total multiplicity is degree - 1
     for text, degree in (("(1 2 3)(4 5)", 7), ("(1 4)(2 5)(3 6)", 9)):
         x = perm_from_cycles(text, degree)
-        assert cycle_type_std_eigenprofile(x.cycle_type()).dim == degree - 1
+        assert sum(std_multiplicities(x.cycle_type())) == degree - 1
 
 
 def test_exterior_square_fixed_dim_examples():
@@ -178,9 +147,8 @@ def test_exterior_square_fixed_dim_examples():
     assert exterior_square_fixed_dim((3,)) == 1
     assert exterior_square_fixed_dim([2, 2]) == 1
     for bad in ((), [], (3, 0), (-1, 15), (2, -2, 2)):
-        for build in (exterior_square_fixed_dim, cycle_type_std_eigenprofile):
-            with pytest.raises(ValueError, match="non-empty list of positive lengths"):
-                build(bad)
+        with pytest.raises(ValueError, match="non-empty list of positive lengths"):
+            exterior_square_fixed_dim(bad)
 
 
 def test_exterior_square_matches_character_oracle_exhaustively():
@@ -188,8 +156,6 @@ def test_exterior_square_matches_character_oracle_exhaustively():
     for degree in range(1, 11):
         for cycle_type in partitions(degree):
             x = class_to_permutation(cycle_type)
-            # a permutation is conjugate to its inverse
-            assert cycle_type_std_eigenprofile(x.cycle_type()).real, cycle_type
             assert exterior_square_fixed_dim(x.cycle_type()) == ext_square_fixed_oracle(x), cycle_type
 
 
@@ -204,39 +170,6 @@ def test_exterior_square_matches_profile_oracle_on_seeded_types():
             left -= lengths[-1]
         rng.shuffle(lengths)
         assert exterior_square_fixed_dim(lengths) == ext_square_profile_oracle(lengths), lengths
-
-
-def test_su_centralizer_dim_examples():
-    for n in range(2, 8):
-        assert su_centralizer_dim(EigenProfile((n,))) == n * n - 1
-        regular = EigenProfile((1,) * n)
-        assert su_centralizer_dim(regular) == n - 1
-    assert su_centralizer_dim(EigenProfile((1, 2))) == 4
-    with pytest.raises(ValueError, match="ambient dimension >= 2"):
-        su_centralizer_dim(EigenProfile((0, 1)))
-
-
-def test_su_centralizer_cauchy_schwarz_bound():
-    # sum of squared multiplicities is at least n^2 / k, for profiles from
-    # permutations, principal images, and seeded random data
-    profiles = []
-    for degree in range(3, 11):
-        profiles.extend(
-            cycle_type_std_eigenprofile(class_to_permutation(ct).cycle_type())
-            for ct in partitions(degree)
-        )
-    for rs in _all_systems(8):
-        profiles.extend(principal_eigenprofile(rs, d) for d in range(2, 13))
-    rng = random.Random(424242)
-    for _ in range(300):
-        k = rng.randint(1, 12)
-        profiles.append(EigenProfile(tuple(rng.randint(0, 6) for _ in range(k))))
-    for p in profiles:
-        if p.dim < 2:
-            continue
-        k, n = p.order, p.dim
-        assert su_centralizer_dim(p) + 1 >= Fraction(n * n, k)
-        assert su_centralizer_dim(p) > Fraction(n * n - 1, k) - 1
 
 
 def test_centralizer_fix_bounds_on_principal_images():

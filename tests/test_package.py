@@ -13,17 +13,15 @@ from repvar.permgrp import APPENDIX_ENTRIES, entry_to_text
 
 EXPORTS = [
     "APPENDIX_ENTRIES", "AppendixEntry", "AppendixReport", "BadPeriodError",
-    "ClassicalGroup", "DensityVerdict", "EigenProfile", "FuchsianPresentation",
-    "MismatchedPeriodsError", "NonHyperbolicError", "NonIntegerResultError",
-    "OrderMismatchError", "Permutation", "RootSystem", "StabilizerChain",
-    "TorsionFixedData", "balanced_class", "classical_dim", "classical_rank",
-    "defect_table", "density_criterion_compare", "dimension", "euler_characteristic",
-    "exceptional_inequality", "exponents", "exterior_square_fixed_dim",
-    "generates_alternating", "genus0_all2_values", "group_order", "interval_coprime",
-    "is_so3_dense", "parse_classical_group", "parse_presentation", "parse_root_system",
-    "perm_compose", "perm_from_cycles", "perm_order", "perm_parity",
-    "principal_eigenprofile", "principal_fixed_dim", "scan_hyperbolic_triples",
-    "su_centralizer_dim",
+    "ClassicalGroup", "DensityVerdict", "FuchsianPresentation", "MismatchedPeriodsError",
+    "NonHyperbolicError", "NonIntegerResultError", "OrderMismatchError", "Permutation",
+    "RootSystem", "StabilizerChain", "TorsionFixedData", "balanced_class", "classical_dim",
+    "classical_rank", "defect_table", "density_criterion_compare", "dimension",
+    "euler_characteristic", "exceptional_inequality", "exponents",
+    "exterior_square_fixed_dim", "generates_alternating", "genus0_all2_values",
+    "group_order", "interval_coprime", "is_so3_dense", "parse_classical_group",
+    "parse_presentation", "parse_root_system", "perm_compose", "perm_from_cycles",
+    "perm_order", "perm_parity", "principal_fixed_dim", "scan_hyperbolic_triples",
     "tminusdim_table", "triangle_witness", "upper_bound", "validate",
     "verify_appendix_entry", "z1_dim", "z1_dim_alternating_so", "z1_dim_principal",
 ]
@@ -46,6 +44,14 @@ def test_exports_resolve_to_their_module_attributes():
     assert not hasattr(repvar, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         repvar.no_such_name
+    # the package keeps no SU(n) eigenvalue profiles: acceptance 8 checks the
+    # centralizer bound on the plain tuples of tests/oracles.py
+    eigen = importlib.import_module("repvar.eigen")
+    for name in (
+        "EigenProfile", "cycle_type_std_eigenprofile", "principal_eigenprofile",
+        "su_centralizer_dim",
+    ):
+        assert not hasattr(eigen, name), name
 
 
 # the exported names no module of the package uses, each with why it stays
@@ -54,9 +60,13 @@ UNCALLED_EXPORTS = {
     "density_criterion_compare",
     # that criterion against SO(3) on principal data; perfbench's survey calls it
     "exceptional_inequality",
-    # these two state the paper's SU(n) centralizer bound, checked by acceptance 8
-    "principal_eigenprofile",
-    "su_centralizer_dim",
+}
+
+# the public module-level functions and classes outside __all__ that no module
+# of the package uses, each with why it stays
+UNCALLED_PUBLIC_DEFS = {
+    # the triple-file writer README documents; the tests write triple files with it
+    "entry_to_text",
 }
 
 
@@ -64,18 +74,28 @@ def test_every_export_is_used_inside_the_package():
     # a name counts as used where it is read (a Load of a Name or Attribute)
     # or imported; defining or assigning it is not a use
     src = pathlib.Path(repvar.__file__).parent
-    used = set()
+    used, defined = set(), set()
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    assert sorted(set(repvar.__all__) - used - UNCALLED_EXPORTS) == []
+    exported = set(repvar.__all__)
+    assert sorted(exported - used - UNCALLED_EXPORTS) == []
     # and the allowlist names only exported names that are in fact unused
-    assert sorted(UNCALLED_EXPORTS - (set(repvar.__all__) - used)) == []
+    assert sorted(UNCALLED_EXPORTS - (exported - used)) == []
+    # public functions and classes outside __all__ follow the same rule
+    unexported = defined - exported
+    assert sorted(unexported - used - UNCALLED_PUBLIC_DEFS) == []
+    assert sorted(UNCALLED_PUBLIC_DEFS - (unexported - used)) == []
 
 
 STDLIB_PROBE = """\

@@ -358,8 +358,10 @@ def test_entry_serialization_round_trip():
         )
     with pytest.raises(ValueError):
         parse_entry_text("gamma=2,4,6;degree=14\n(1 2)\n")
-    with pytest.raises(ValueError):
-        parse_entry_text("degree=14\n(1 2)\n(1 2)\n(1 2)\n")
+    # a header that does not split into gamma=...;degree=...
+    for header in ("degree=14", "gamma=2,4,6;degree=14;x"):
+        with pytest.raises(ValueError, match="bad header"):
+            parse_entry_text(header + "\n(1 2)\n(1 2)\n(1 2)\n")
     with pytest.raises(ValueError, match="exactly three periods"):
         parse_entry_text("gamma=2,4;degree=14\n(1 2)\n(1 2)\n(1 2)\n")
 
