@@ -19,8 +19,8 @@ SCHEMA = 1  # version of every JSON object the package prints
 _EXPORTS = {
     "cocycle": (
         "MismatchedPeriodsError", "NonIntegerResultError", "OrderMismatchError",
-        "TorsionFixedData", "density_criterion_compare", "exceptional_inequality",
-        "upper_bound", "z1_dim", "z1_dim_alternating_so", "z1_dim_principal",
+        "density_criterion_compare", "exceptional_inequality", "upper_bound", "z1_dim",
+        "z1_dim_alternating_so", "z1_dim_principal",
     ),
     "density": (
         "DensityVerdict", "interval_coprime", "is_so3_dense",
@@ -31,8 +31,7 @@ _EXPORTS = {
         "perm_from_cycles", "perm_order", "perm_parity", "principal_fixed_dim",
     ),
     "liedata": (
-        "ClassicalGroup", "RootSystem", "classical_dim", "classical_rank",
-        "dimension", "exponents", "parse_classical_group", "parse_root_system",
+        "RootSystem", "dimension", "exponents", "group_dim_rank", "parse_root_system",
     ),
     "permgrp": (
         "APPENDIX_ENTRIES", "AppendixEntry", "AppendixReport", "StabilizerChain",

@@ -124,22 +124,14 @@ def _cmd_z1_alternating(args) -> int:
 
 def _cmd_upper_bound(args) -> int:
     from .cocycle import upper_bound
-    from .liedata import (
-        classical_dim, classical_rank, dimension, parse_classical_group, parse_root_system,
-    )
+    from .liedata import group_dim_rank
     from .presentation import parse_presentation
 
     p = parse_presentation(args.presentation)
-    token = args.group
-    if token.strip().startswith("S"):  # SO(n) or SU(n); the root systems are A..G
-        g = parse_classical_group(token)
-        dim, rank = classical_dim(g), classical_rank(g)
-    else:
-        g = parse_root_system(token)
-        dim, rank = dimension(g), g.rank
+    dim, rank = group_dim_rank(args.group)
     bound = upper_bound(p, dim, rank)
     _emit(
-        args, f"{bound}\n", presentation=str(p), group=str(g),
+        args, f"{bound}\n", presentation=str(p), group=args.group.strip(),
         dim=dim, rank=rank, bound=str(bound),
     )
     return 0

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .eigen import exterior_square_fixed_dim, principal_fixed_dim
 from .liedata import RootSystem, dimension, so_dim
-from .presentation import FuchsianPresentation, Record
+from .presentation import FuchsianPresentation
 
 
 class MismatchedPeriodsError(ValueError):
@@ -37,50 +37,42 @@ class OrderMismatchError(ValueError):
     """A supplied permutation's order differs from its period."""
 
 
-class TorsionFixedData(Record):
-    """Per-generator torsion data for one cocycle-dimension evaluation.
+def z1_dim(
+    p: FuchsianPresentation,
+    torsion: Sequence[tuple[int, int]],
+    dim_v: int,
+    invariant_dual_dim: int = 0,
+) -> int:
+    """Cocycle-space dimension of an action on a ``dim_v``-dimensional module.
 
     ``torsion`` lists (period, fixed-space dimension) pairs, one per torsion
     generator; ``invariant_dual_dim`` is dim (V*)^Gamma, a caller input since
-    it is not computable from the signature alone.
+    it is not computable from the signature alone.  The periods must be the
+    presentation's, so each is >= 2.  Evaluates both lines of the dimension
+    formula exactly and checks they agree and are integral; they are equal
+    for any fix data, so the check guards only the evaluation of chi, and a
+    failure raises, never rounds.
     """
-
-    torsion: tuple[tuple[int, int], ...]
-    dim_v: int
-    invariant_dual_dim: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim_v < 0 or self.invariant_dual_dim < 0:
-            raise ValueError("dimensions must be non-negative")
-        for d, fix in self.torsion:
-            if d < 2:
-                raise ValueError(f"period {d} < 2")
-            if not 0 <= fix <= self.dim_v:
-                raise ValueError(f"fixed dimension {fix} outside 0..{self.dim_v}")
-
-
-def z1_dim(p: FuchsianPresentation, t: TorsionFixedData) -> int:
-    """Cocycle-space dimension for the action described by ``t``.
-
-    Evaluates both lines of the dimension formula exactly and checks they
-    agree and are integral; they are equal for any fix data, so the check
-    guards only the evaluation of chi, and a failure raises, never rounds.
-    """
-    if tuple(sorted(d for d, _ in t.torsion)) != p.periods:
+    if dim_v < 0 or invariant_dual_dim < 0:
+        raise ValueError("dimensions must be non-negative")
+    for _, fix in torsion:
+        if not 0 <= fix <= dim_v:
+            raise ValueError(f"fixed dimension {fix} outside 0..{dim_v}")
+    if tuple(sorted(d for d, _ in torsion)) != p.periods:
         raise MismatchedPeriodsError(
-            f"torsion periods {sorted(d for d, _ in t.torsion)} do not match "
+            f"torsion periods {sorted(d for d, _ in torsion)} do not match "
             f"presentation periods {list(p.periods)}"
         )
     first = (
-        (2 * p.genus - 1) * t.dim_v
-        + t.invariant_dual_dim
-        + sum(t.dim_v - fix for _, fix in t.torsion)
+        (2 * p.genus - 1) * dim_v
+        + invariant_dual_dim
+        + sum(dim_v - fix for _, fix in torsion)
     )
     chi = p.euler_characteristic()
     second = (
-        (1 - chi) * t.dim_v
-        + t.invariant_dual_dim
-        + sum(Fraction(t.dim_v, d) - fix for d, fix in t.torsion)
+        (1 - chi) * dim_v
+        + invariant_dual_dim
+        + sum(Fraction(dim_v, d) - fix for d, fix in torsion)
     )
     if second.denominator != 1:
         raise NonIntegerResultError(f"cocycle dimension {second} is not an integer")
@@ -97,8 +89,8 @@ def z1_dim_principal(p: FuchsianPresentation, rs: RootSystem) -> int:
     The image is maximal, so its centralizer is finite and the dual
     invariants vanish; each torsion fix is the principal fixed dimension.
     """
-    torsion = tuple((d, principal_fixed_dim(rs, d)) for d in p.periods)
-    return z1_dim(p, TorsionFixedData(torsion, dimension(rs), 0))
+    torsion = [(d, principal_fixed_dim(rs, d)) for d in p.periods]
+    return z1_dim(p, torsion, dimension(rs))
 
 
 def z1_dim_alternating_so(
@@ -132,8 +124,8 @@ def z1_dim_alternating_so(
             f"generator orders {sorted(orders)} do not match "
             f"periods {list(p.periods)}"
         )
-    torsion = tuple((d, exterior_square_fixed_dim(t)) for d, t in zip(orders, types))
-    return z1_dim(p, TorsionFixedData(torsion, so_dim(degree - 1), 0))
+    torsion = [(d, exterior_square_fixed_dim(t)) for d, t in zip(orders, types)]
+    return z1_dim(p, torsion, so_dim(degree - 1))
 
 
 def upper_bound(p: FuchsianPresentation, dim_g: int, rank: int) -> Fraction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .presentation import BadPeriodError, FuchsianPresentation, Record
 
@@ -62,15 +62,12 @@ class IndexTwoRealization(Record):
     parent: FuchsianPresentation
 
 
-Reason = Union[
-    GenusPositive, ExceptionalSet, TriangleWitness, InductiveReduction, IndexTwoRealization
-]
-
-
 class DensityVerdict(Record):
     """A classification: the branch of the argument, plus an optional diagnostic."""
 
-    reason: Reason
+    reason: (
+        GenusPositive | ExceptionalSet | TriangleWitness | InductiveReduction | IndexTwoRealization
+    )
     note: str = ""
 
     @property

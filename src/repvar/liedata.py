@@ -71,39 +71,9 @@ def dimension(rs: RootSystem) -> int:
     return sum(2 * e + 1 for e in exponents(rs))
 
 
-class ClassicalGroup(Record):
-    """A compact classical group SO(n) or SU(n), n >= 2."""
-
-    kind: str  # "SO" or "SU"
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("SO", "SU"):
-            raise ValueError(f"kind must be 'SO' or 'SU', got {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.n})"
-
-
 def so_dim(n: int) -> int:
     """dim SO(n) = n(n-1)/2, total on every integer so broken input still reports."""
     return n * (n - 1) // 2
-
-
-def classical_dim(g: ClassicalGroup) -> int:
-    """dim SO(n) = n(n-1)/2, dim SU(n) = n^2 - 1."""
-    if g.kind == "SO":
-        return so_dim(g.n)
-    return g.n * g.n - 1
-
-
-def classical_rank(g: ClassicalGroup) -> int:
-    """Rank of the compact group: floor(n/2) for SO(n), n-1 for SU(n)."""
-    if g.kind == "SO":
-        return g.n // 2
-    return g.n - 1
 
 
 # a classical letter takes any integer token; E, F and G only their own ranks
@@ -119,9 +89,23 @@ def parse_root_system(text: str) -> RootSystem:
     return RootSystem(m.group(1), int(m.group(2)))
 
 
-def parse_classical_group(text: str) -> ClassicalGroup:
-    """Parse CLI syntax like ``SO(13)`` or ``SU(7)``."""
-    m = _CG_RE.fullmatch(text.strip())
+def group_dim_rank(text: str) -> tuple[int, int]:
+    """(dim, rank) of a group token: ``SO(13)``, ``SU(7)`` or a root system.
+
+    A token starting with S names SO(n) or SU(n), n >= 2, whose closed forms
+    take any n: dim n(n-1)/2 and rank floor(n/2) for SO(n), dim n^2 - 1 and
+    rank n - 1 for SU(n).  Anything else is parsed as a root system.
+    """
+    token = text.strip()
+    if not token.startswith("S"):
+        rs = parse_root_system(text)
+        return dimension(rs), rs.rank
+    m = _CG_RE.fullmatch(token)
     if m is None:
         raise ValueError(f"cannot parse classical group {text!r}")
-    return ClassicalGroup(m.group(1), int(m.group(2)))
+    n = int(m.group(2))
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if m.group(1) == "SO":
+        return so_dim(n), n // 2
+    return n * n - 1, n - 1

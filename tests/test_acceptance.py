@@ -45,7 +45,7 @@ from oracles import (
     principal_multiplicities,
     std_multiplicities,
 )
-from repvar.cocycle import TorsionFixedData, upper_bound, z1_dim, z1_dim_principal
+from repvar.cocycle import upper_bound, z1_dim, z1_dim_principal
 from repvar.density import interval_coprime, is_so3_dense, scan_hyperbolic_triples
 from repvar.eigen import exterior_square_fixed_dim, perm_order, perm_parity, principal_fixed_dim
 from repvar.liedata import RootSystem, dimension
@@ -256,7 +256,7 @@ def test_acceptance_8_formula_identities():
         dim_v = rng.randint(1, 300)
         torsion = tuple((d, rng.randint(0, dim_v)) for d in p.periods)
         dual = rng.randint(0, 8)
-        value = z1_dim(p, TorsionFixedData(torsion, dim_v, dual))
+        value = z1_dim(p, torsion, dim_v, dual)
         first = (2 * g - 1) * dim_v + dual + sum(dim_v - f for _, f in torsion)
         second = (1 - p.euler_characteristic()) * dim_v + dual + sum(
             Fraction(dim_v, d) - f for d, f in torsion
@@ -264,13 +264,20 @@ def test_acceptance_8_formula_identities():
         ok = ok and value == first == second
         produced += 1
 
-    # exterior-square orbit count vs character average, exhaustively
+    # exterior-square orbit count vs character average, exhaustively; the sum
+    # of squared standard multiplicities is dim of the GL(V) centralizer,
+    # sum_{i,j} gcd(l_i, l_j) on the permutation module less the c^2 - (c-1)^2
+    # its c-fold eigenvalue 1 gives over the standard one, c the cycle count
     profiles = []
     for degree in range(1, 11):
         for cycle_type in partitions(degree):
             x = class_to_permutation(cycle_type)
-            ok = ok and exterior_square_fixed_dim(x.cycle_type()) == ext_square_fixed_oracle(x)
-            profiles.append(std_multiplicities(x.cycle_type()))
+            lengths = x.cycle_type()
+            ok = ok and exterior_square_fixed_dim(lengths) == ext_square_fixed_oracle(x)
+            m = std_multiplicities(lengths)
+            centralizer = sum(gcd(a, b) for a in lengths for b in lengths) - 2 * len(lengths) + 1
+            ok = ok and sum(mj * mj for mj in m) == centralizer
+            profiles.append(m)
 
     # SU(n) centralizer lower bound: dim Z(x) + 1, the sum of squared
     # multiplicities, against n^2 / k for n = sum of the k multiplicities

@@ -10,7 +10,6 @@ from repvar.cocycle import (
     MismatchedPeriodsError,
     NonIntegerResultError,
     OrderMismatchError,
-    TorsionFixedData,
     density_criterion_compare,
     exceptional_inequality,
     upper_bound,
@@ -33,46 +32,49 @@ def _rs(label):
 def test_z1_dim_examples():
     # principal E8 data on the (2,3,7) group
     p = FuchsianPresentation(0, (2, 3, 7))
-    t = TorsionFixedData(((2, 120), (3, 80), (7, 36)), 248, 0)
-    assert z1_dim(p, t) == 260
+    assert z1_dim(p, ((2, 120), (3, 80), (7, 36)), 248, 0) == 260
     # trivial one-dimensional coefficients on a genus-3 surface group
     surface = FuchsianPresentation(3, ())
-    assert z1_dim(surface, TorsionFixedData((), 1, 1)) == 6
+    assert z1_dim(surface, (), 1, 1) == 6
     # principal F4 data on (2,2,2,3)
     p = FuchsianPresentation(0, (2, 2, 2, 3))
-    t = TorsionFixedData(((2, 24), (2, 24), (2, 24), (3, 16)), 52, 0)
-    assert z1_dim(p, t) == 68
+    assert z1_dim(p, ((2, 24), (2, 24), (2, 24), (3, 16)), 52) == 68
 
 
 def test_z1_dim_guards_the_euler_characteristic(monkeypatch):
     # the two lines agree for every fix data, so only a wrong chi trips the
     # check: off by 1/7 the rational line is fractional, off by 1 it differs
     p = FuchsianPresentation(0, (2, 3, 7))
-    t = TorsionFixedData(((2, 120), (3, 80), (7, 36)), 248, 0)
+    torsion = ((2, 120), (3, 80), (7, 36))
     for offset, message in ((Fraction(1, 7), "not an integer"), (1, "disagree")):
         monkeypatch.setattr(
             FuchsianPresentation, "euler_characteristic",
             lambda self, offset=offset: euler_characteristic(self.genus, self.periods) + offset,
         )
         with pytest.raises(NonIntegerResultError, match=message):
-            z1_dim(p, t)
+            z1_dim(p, torsion, 248)
 
 
 def test_z1_dim_rejects_mismatched_periods():
     p = FuchsianPresentation(0, (2, 3, 7))
     with pytest.raises(MismatchedPeriodsError):
-        z1_dim(p, TorsionFixedData(((2, 1), (3, 1)), 5, 0))
+        z1_dim(p, ((2, 1), (3, 1)), 5)
     with pytest.raises(MismatchedPeriodsError):
-        z1_dim(p, TorsionFixedData(((2, 1), (3, 1), (8, 1)), 5, 0))
+        z1_dim(p, ((2, 1), (3, 1), (8, 1)), 5)
 
 
 def test_torsion_data_validation():
-    with pytest.raises(ValueError):
-        TorsionFixedData(((2, 6),), 5, 0)  # fix exceeds dim
-    with pytest.raises(ValueError):
-        TorsionFixedData(((1, 0),), 5, 0)  # period < 2
-    with pytest.raises(ValueError):
-        TorsionFixedData((), 5, -1)
+    p = FuchsianPresentation(1, (2,))
+    with pytest.raises(ValueError, match="fixed dimension 6 outside 0..5"):
+        z1_dim(p, ((2, 6),), 5)
+    with pytest.raises(ValueError, match="fixed dimension -1 outside 0..5"):
+        z1_dim(p, ((2, -1),), 5)
+    # a period below 2 is never one of the presentation's
+    with pytest.raises(MismatchedPeriodsError, match=r"torsion periods \[1\]"):
+        z1_dim(p, ((1, 0),), 5)
+    for dim_v, dual in ((5, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="dimensions must be non-negative"):
+            z1_dim(FuchsianPresentation(2, ()), (), dim_v, dual)
 
 
 def test_z1_dim_principal_examples():
@@ -164,7 +166,7 @@ def test_both_formula_lines_agree_on_random_data():
         dim_v = rng.randint(1, 200)
         dual = rng.randint(0, 5)
         torsion = tuple((d, rng.randint(0, dim_v)) for d in p.periods)
-        value = z1_dim(p, TorsionFixedData(torsion, dim_v, dual))
+        value = z1_dim(p, torsion, dim_v, dual)
         # recompute the two lines independently of the implementation
         first = (2 * g - 1) * dim_v + dual + sum(dim_v - f for _, f in torsion)
         chi = p.euler_characteristic()

@@ -2,13 +2,10 @@ import pytest
 
 from oracles import lie_dimension
 from repvar.liedata import (
-    ClassicalGroup,
     RootSystem,
-    classical_dim,
-    classical_rank,
     dimension,
     exponents,
-    parse_classical_group,
+    group_dim_rank,
     parse_root_system,
 )
 
@@ -83,15 +80,31 @@ def test_label_round_trips_for_all_nine_families():
 
 
 def test_classical_dims():
-    assert classical_dim(ClassicalGroup("SO", 13)) == 78
-    assert classical_dim(ClassicalGroup("SU", 2)) == 3
-    assert classical_dim(ClassicalGroup("SO", 11)) == 55
-    assert classical_rank(ClassicalGroup("SO", 13)) == 6
-    assert classical_rank(ClassicalGroup("SU", 7)) == 6
-    with pytest.raises(ValueError):
-        ClassicalGroup("SO", 1)
-    with pytest.raises(ValueError):
-        ClassicalGroup("SP", 4)
+    assert group_dim_rank("SO(13)") == (78, 6)
+    assert group_dim_rank("SU(2)") == (3, 1)
+    assert group_dim_rank("SO(11)") == (55, 5)
+    assert group_dim_rank("SU(7)") == (48, 6)
+    assert group_dim_rank(" SO(2) ") == (1, 1)
+    for bad, message in (("SO(1)", "n must be >= 2, got 1"), ("SU(0)", "got 0")):
+        with pytest.raises(ValueError, match=message):
+            group_dim_rank(bad)
+    with pytest.raises(ValueError, match="cannot parse classical group 'SP\\(4\\)'"):
+        group_dim_rank("SP(4)")
+
+
+def test_classical_closed_forms_match_the_exponents():
+    # SU(n) is A_{n-1}, SO(2k+1) is B_k (A_1 for k = 1) and SO(2k) is D_k for
+    # k >= 3: the closed forms give the dimension and rank of the exponents
+    for n in range(2, 61):
+        k = n // 2
+        systems = [("SU", RootSystem("A", n - 1))]
+        if n % 2:
+            systems.append(("SO", RootSystem("B", k) if k >= 2 else RootSystem("A", 1)))
+        elif k >= 3:
+            systems.append(("SO", RootSystem("D", k)))
+        for kind, rs in systems:
+            expected = (dimension(rs), len(exponents(rs)))
+            assert group_dim_rank(f"{kind}({n})") == expected, (kind, n)
 
 
 def test_parsing():
@@ -100,8 +113,11 @@ def test_parsing():
     assert parse_root_system("E8") == RootSystem("E", 8)
     assert str(parse_root_system("G2")) == "G2"
     assert str(parse_root_system("A5")) == "A5"
-    assert parse_classical_group("SO(13)") == ClassicalGroup("SO", 13)
-    assert parse_classical_group("SU(7)") == ClassicalGroup("SU", 7)
+    assert group_dim_rank("E8") == (248, 8)
+    assert group_dim_rank(" B12 ") == (300, 12)
     for bad in ("E9", "A", "B0", "X4", "SO13", "SU(x)"):
         with pytest.raises(ValueError):
-            parse_root_system(bad) if bad[0] in "ABCDEFG" else parse_classical_group(bad)
+            group_dim_rank(bad)
+        if bad[0] in "ABCDEFG":
+            with pytest.raises(ValueError):
+                parse_root_system(bad)

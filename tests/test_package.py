@@ -13,17 +13,17 @@ from repvar.permgrp import APPENDIX_ENTRIES, entry_to_text
 
 EXPORTS = [
     "APPENDIX_ENTRIES", "AppendixEntry", "AppendixReport", "BadPeriodError",
-    "ClassicalGroup", "DensityVerdict", "FuchsianPresentation", "MismatchedPeriodsError",
+    "DensityVerdict", "FuchsianPresentation", "MismatchedPeriodsError",
     "NonHyperbolicError", "NonIntegerResultError", "OrderMismatchError", "Permutation",
-    "RootSystem", "StabilizerChain", "TorsionFixedData", "balanced_class", "classical_dim",
-    "classical_rank", "defect_table", "density_criterion_compare", "dimension",
-    "euler_characteristic", "exceptional_inequality", "exponents",
-    "exterior_square_fixed_dim", "generates_alternating", "genus0_all2_values",
-    "group_order", "interval_coprime", "is_so3_dense", "parse_classical_group",
-    "parse_presentation", "parse_root_system", "perm_compose", "perm_from_cycles",
-    "perm_order", "perm_parity", "principal_fixed_dim", "scan_hyperbolic_triples",
-    "tminusdim_table", "triangle_witness", "upper_bound", "validate",
-    "verify_appendix_entry", "z1_dim", "z1_dim_alternating_so", "z1_dim_principal",
+    "RootSystem", "StabilizerChain", "balanced_class", "defect_table",
+    "density_criterion_compare", "dimension", "euler_characteristic",
+    "exceptional_inequality", "exponents", "exterior_square_fixed_dim",
+    "generates_alternating", "genus0_all2_values", "group_dim_rank", "group_order",
+    "interval_coprime", "is_so3_dense", "parse_presentation", "parse_root_system",
+    "perm_compose", "perm_from_cycles", "perm_order", "perm_parity", "principal_fixed_dim",
+    "scan_hyperbolic_triples", "tminusdim_table", "triangle_witness", "upper_bound",
+    "validate", "verify_appendix_entry", "z1_dim", "z1_dim_alternating_so",
+    "z1_dim_principal",
 ]
 
 
@@ -163,7 +163,6 @@ def test_each_call_loads_only_what_its_subcommand_needs(tmp_path):
 
 
 def test_records_keep_the_frozen_record_contract(monkeypatch):
-    from repvar.cocycle import TorsionFixedData
     from repvar.density import (
         DensityVerdict, ExceptionalSet, GenusPositive, IndexTwoRealization, InductiveReduction,
     )
@@ -184,10 +183,6 @@ def test_records_keep_the_frozen_record_contract(monkeypatch):
             InductiveReduction((2, 3), (2, 3, 7), 5), ((2, 3), (2, 3, 7), 5),
             "InductiveReduction(retained=(2, 3), split=(2, 3, 7), auxiliary=5)",
         ),
-        (
-            TorsionFixedData(((2, 1),), 5), (((2, 1),), 5, 0),
-            "TorsionFixedData(torsion=((2, 1),), dim_v=5, invariant_dual_dim=0)",
-        ),
     ]
     for record, values, text in cases:
         assert repr(record) == text
@@ -196,8 +191,8 @@ def test_records_keep_the_frozen_record_contract(monkeypatch):
     assert GenusPositive() == GenusPositive() and GenusPositive() != ExceptionalSet()
     assert hash(GenusPositive()) == hash(())
     # keyword construction and defaults
-    assert TorsionFixedData(dim_v=5, torsion=((2, 1),)) == TorsionFixedData(((2, 1),), 5, 0)
-    assert DensityVerdict(reason=GenusPositive()).note == ""
+    assert DensityVerdict(note="x", reason=parent) == DensityVerdict(parent, "x")
+    assert DensityVerdict(reason=GenusPositive()) == DensityVerdict(GenusPositive(), "")
     # fields are read-only: assigning or deleting one raises AttributeError
     p = FuchsianPresentation(0, (2, 3, 7))
     for name in ("genus", "periods"):

@@ -4,8 +4,9 @@ Run from the root of a repvar checkout:
 
     PYTHONPATH=src python3 tools/cold_start.py [RUNS]
 
-For one fixed argv per leaf subcommand, it times ``python -m repvar ARGV``
-as a fresh process, interpreter start included, RUNS times (default 9),
+For one fixed argv per leaf subcommand (two for ``upper-bound``, a root
+system and ``SO(n)``), it times ``python -m repvar ARGV`` as a fresh
+process, interpreter start included, RUNS times (default 9),
 taking the argvs in turn so that drift spreads over all of them.  Each entry
 is [median milliseconds, the repvar modules that call loads];
 ``python_pass_ms`` is the median of ``python -c pass`` over the same rounds.
@@ -26,6 +27,7 @@ ARGVS = {
     "z1 principal": ["z1", "principal", "g=0;d=2,3,7", "E8"],
     "z1 alternating": ["z1", "alternating", "g=0;d=2,3,7", "--degree", "21"],
     "upper-bound": ["upper-bound", "g=0;d=2,3,7", "G2"],
+    "upper-bound SO": ["upper-bound", "g=0;d=2,3,7", "SO(13)"],
     "density": ["density", "g=0;d=2,3,7"],
     "triangle-witness": ["triangle-witness", "2", "3", "7"],
     "scan-triples": ["scan-triples", "--dmax", "24"],
