@@ -196,12 +196,7 @@ def scan_hyperbolic_triples(dmax: int) -> list[tuple[int, int, int]]:
 def _index_two_parent(triple: tuple[int, int, int]) -> FuchsianPresentation:
     """Parent (2, 2a, b) realizing the (a, b, b) group as an index-2 subgroup."""
     x, y, z = triple
-    if y == z:
-        a, b = x, y
-    elif x == y:
-        a, b = z, x
-    else:
-        raise ValueError(f"{triple} has no repeated period")
+    a, b = (x, y) if y == z else (z, x)
     return FuchsianPresentation(0, (2, 2 * a, b))
 
 

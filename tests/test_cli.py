@@ -4,14 +4,14 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import PAPER_TMINUSDIM_TABLE
-from oracles import class_to_permutation
 from repvar.cli import dump_json, main
-from repvar.permgrp import APPENDIX_ENTRIES, AppendixEntry, entry_to_text
+from repvar.permgrp import APPENDIX_ENTRIES, MAX_TRIPLE_DEGREE, entry_to_text
 
 FLOAT_RE = re.compile(r"\b\d+\.\d+\b")
 
@@ -20,6 +20,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
 
 
 def test_euler(capsys):
@@ -76,18 +80,6 @@ def test_z1_alternating(capsys, tmp_path):
         capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "16", "--triple", str(triple),
     )
     assert (code, out, err) == (2, "", "error: triple file degree 14 != --degree 16\n")
-    # a third generator of order 2*3*5*...*29 = 6,469,693,230 on 129 points
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    generators = (
-        class_to_permutation((2,) * 64 + (1,)), class_to_permutation((3,) * 43),
-        class_to_permutation(primes),
-    )
-    triple.write_text(entry_to_text(AppendixEntry((2, 3, 6469693230), 129, generators)))
-    code, out, err = run(
-        capsys, "z1", "alternating", "g=0;d=2,3,6469693230", "--degree", "129",
-        "--triple", str(triple),
-    )
-    assert (code, out, err) == (0, "9419\n", "")
 
 
 def test_triple_file_header_must_name_the_signature(capsys, tmp_path):
@@ -110,8 +102,10 @@ def test_triple_file_header_must_name_the_signature(capsys, tmp_path):
             )
             expected = f"error: triple file {gamma} does not name {signature}\n"
             assert (code, out, err) == (2, "", expected), (header, signature, fmt)
-    # the header's periods are a multiset: their order in the file is free
-    triple.write_text("\n".join(["gamma=6,2,4;degree=14", *lines[1:]]) + "\n", encoding="utf-8")
+    # the header may list the periods in any order; the generators follow it, and
+    # a cyclic shift of x1, x2, x3 keeps their product the identity
+    x1, x2, x3 = lines[1:]
+    triple.write_text("\n".join(["gamma=6,2,4;degree=14", x3, x1, x2]) + "\n", encoding="utf-8")
     code, out, err = run(
         capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
     )
@@ -127,6 +121,128 @@ def test_triple_file_with_long_malformed_cycle_line(capsys, tmp_path):
         capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
     )
     assert (code, out) == (2, "") and err.startswith("error: cannot parse cycle notation")
+
+
+def _certified_run(capsys, triple, text, signature, degree):
+    """Write ``text`` to ``triple``, run ``--triple`` on it in text and JSON, and
+    return the text run; both runs exit alike, and an exit 2 prints nothing."""
+    triple.write_text(text, encoding="utf-8")
+    argv = ["z1", "alternating", signature, "--degree", str(degree), "--triple", str(triple)]
+    code, out, err = run(capsys, *argv)
+    json_code, json_out, json_err = run(capsys, *argv, "--format", "json")
+    assert (json_code, json_err) == (code, err), text
+    if code == 2:
+        assert out == json_out == "", text
+    else:
+        assert json.loads(json_out)["z1"] == int(out), text
+    return code, out, err
+
+
+# each shipped triple's z1 through --triple, as the library certifies it
+SHIPPED_TRIPLE_Z1 = {"2,4,6": 90, "2,6,6": 96, "3,6,6": 73, "3,4,4": 94, "2,6,10": 71, "4,6,12": 81}
+
+
+def test_triple_file_prints_the_shipped_values(capsys, tmp_path):
+    triple = tmp_path / "triple.txt"
+    for entry in APPENDIX_ENTRIES:
+        signature = "g=0;d=" + _csv(sorted(entry.periods))
+        argv = ["z1", "alternating", signature, "--degree", str(entry.degree)]
+        triple.write_text(entry_to_text(entry), encoding="utf-8")
+        z1 = SHIPPED_TRIPLE_Z1[entry.label]
+        assert run(capsys, *argv, "--triple", str(triple)) == (0, f"{z1}\n", ""), entry.label
+        so_dim = (entry.degree - 1) * (entry.degree - 2) // 2
+        expected = {
+            "schema": 1, "command": "z1-alternating", "presentation": signature,
+            "degree": entry.degree, "generators": "triple.txt",
+            "z1": z1, "so_dim": so_dim, "margin": z1 - so_dim,
+        }
+        out = json.dumps(expected, indent=2) + "\n"
+        code_out_err = run(capsys, *argv, "--triple", str(triple), "--format", "json")
+        assert code_out_err == (0, out, ""), entry.label
+
+
+def test_triple_file_must_be_certified(capsys, tmp_path):
+    # --triple evaluates the formula only on a triple that verify-appendix's checks
+    # pass; otherwise it exits 2 and names each failed check, in its words
+    triple = tmp_path / "triple.txt"
+    shipped = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()
+    cases = [
+        # x1*x2*x3 != 1, and the image fixes 13 and 14
+        (
+            ["gamma=2,4,6;degree=14", "(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)", "(1 2 3 4)(5 6 7 8)",
+             "(1 2 3 4 5 6)(7 8 9 10 11 12)"],
+            "product=FAIL alternating=FAIL",
+        ),
+        # a true representation whose image, of order 192, fixes 9..14
+        (
+            ["gamma=2,4,6;degree=14", "(1 7)(2 4)(3 5)(6 8)", "(1 6 2 5)(3 4)",
+             "(1 7 5 4 6 8)(2 3)"],
+            "alternating=FAIL",
+        ),
+        # an odd x1 of order 2
+        (
+            [shipped[0], "(1 2)(3 4)(5 6)(7 8)(9 10)", *shipped[2:]],
+            "product=FAIL parity=FAIL alternating=FAIL",
+        ),
+        # the header's periods in another order than the generators' orders
+        (["gamma=6,2,4;degree=14", *shipped[1:]], "orders=FAIL"),
+    ]
+    for lines, failed in cases:
+        text = "\n".join(lines) + "\n"
+        expected = (2, "", f"error: triple file is not certified: {failed}\n")
+        assert _certified_run(capsys, triple, text, "g=0;d=2,4,6", 14) == expected, failed
+
+
+def test_triple_file_degree_cap(capsys, tmp_path):
+    # (1 2 3) and the 31-cycle (2 3 ... 32) generate A_32; x3 = (x1*x2)^-1
+    assert MAX_TRIPLE_DEGREE == 32
+    triple = tmp_path / "triple.txt"
+    cycles = [
+        "(1 2 3)", "(" + " ".join(map(str, range(2, 33))) + ")",
+        "(1 2)(3 " + " ".join(map(str, range(32, 3, -1))) + ")",
+    ]
+    text = "\n".join(["gamma=3,31,30;degree=32", *cycles]) + "\n"
+    assert _certified_run(capsys, triple, text, "g=0;d=3,30,31", 32) == (0, "493\n", "")
+    text = "\n".join(["gamma=3,31,30;degree=33", *cycles]) + "\n"
+    expected = (2, "", "error: degree must be <= 32\n")
+    assert _certified_run(capsys, triple, text, "g=0;d=3,30,31", 33) == expected
+
+
+def _primes_after(start: int, count: int) -> list[int]:
+    span = 20 * count  # primes near 10^6 are about 14 apart
+    sieve = bytearray([1]) * span
+    for p in range(2, isqrt(start + span) + 1):
+        sieve[-start % p::p] = bytes(len(range(-start % p, span, p)))
+    primes = [start + i for i in range(span) if sieve[i]][:count]
+    assert len(primes) == count
+    return primes
+
+
+def test_long_signatures_keep_the_exit_code_contract(capsys):
+    # chi's denominator for the 800 primes after 10^6 has over 4,300 digits,
+    # Python's default limit on int <-> str; main lifts it for the call only
+    signature = "g=0;d=" + _csv(_primes_after(10**6 + 1, 800))
+    has_limit = hasattr(sys, "get_int_max_str_digits")
+    before = sys.get_int_max_str_digits() if has_limit else None
+    try:
+        if has_limit:
+            sys.set_int_max_str_digits(4300)
+        for argv, key in (
+            (("euler", signature), "chi"),
+            (("validate", signature), "chi"),
+            (("upper-bound", signature, "G2"), "bound"),
+        ):
+            code, text, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv[0]
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, ""), argv[0]
+            value = json.loads(out)[key]
+            assert text.endswith(f"{value}\n") and len(value.split("/")[1]) > 4300, argv[0]
+            if has_limit:
+                assert sys.get_int_max_str_digits() == 4300, "limit not restored"
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(before)
 
 
 def test_upper_bound(capsys):
@@ -422,7 +538,7 @@ def test_sizes_above_their_limits_exit_2(capsys, tmp_path):
         argv = [arg.format(limit // 100) for arg in template]
         code, out, err = run(capsys, *argv)
         assert code == 0 and out.count("\n") == 1 and err == "", argv
-    # a triple file's header degree has the same limit
+    # a triple file's header degree has a lower limit: certifying it builds a chain
     lines = entry_to_text(APPENDIX_ENTRIES[0]).splitlines()
     triple = tmp_path / "triple.txt"
     for degree in (10**6 + 1, 10**15):
@@ -431,7 +547,7 @@ def test_sizes_above_their_limits_exit_2(capsys, tmp_path):
         code, out, err = run(
             capsys, "z1", "alternating", "g=0;d=2,4,6", "--degree", "14", "--triple", str(triple),
         )
-        assert (code, out, err) == (2, "", "error: degree must be <= 1000000\n"), degree
+        assert (code, out, err) == (2, "", "error: degree must be <= 32\n"), degree
     # SO(n) has closed forms, so its upper bound takes any n
     code, out, _ = run(capsys, "upper-bound", "g=0;d=2,3,7", f"SO({10**15})")
     assert (code, out) == (0, "3583333333333349000000000000021/7\n")

@@ -12,8 +12,13 @@ degrees 17, 18 and 20, which preserves a split of the points into two orbits
 (prime degree) or a block system (composite degree) and so closes below the
 ceiling by the full Schreier test.  The pairs at 17 and 18 happen to be
 intransitive, so they skip the warm start; the one at 20 is transitive and
-runs it.  Random inputs are drawn from ``random.Random(degree)``.  Each
-entry is [milliseconds, group order, number of strong generators].
+runs it.  Random inputs are drawn from ``random.Random(degree)``.  Two more
+families close below the ceiling and are the slowest chains a triple file
+may ask for: the point stabilizer S_(n-1), generated by (1 2) and
+(1 2 ... n-1), and S_(n/2) wr S_2, generated by (1 2), (1 2 ... n/2) and
+the block swap (1 n/2+1)(2 n/2+2)...; each at ``MAX_TRIPLE_DEGREE``, the
+largest header degree a triple file may have, and 4 above it.  Each entry is
+[milliseconds, group order, number of strong generators].
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import random
 from time import perf_counter
 
 from repvar.eigen import Permutation, perm_parity
-from repvar.permgrp import APPENDIX_ENTRIES, StabilizerChain
+from repvar.permgrp import APPENDIX_ENTRIES, MAX_TRIPLE_DEGREE, StabilizerChain
 
 REPS = 3
 
@@ -43,6 +48,20 @@ def wreath(k: int) -> list[Permutation]:
     swap, exchange = [2, 1, *range(3, n + 1)], [3, 4, 1, 2, *range(5, n + 1)]
     cycle = [*range(3, n + 1), 1, 2]
     return [Permutation(tuple(images)) for images in (swap, exchange, cycle)]
+
+
+def point_stabilizer(n: int) -> list[Permutation]:
+    transposition = [2, 1, *range(3, n + 1)]
+    cycle = [*range(2, n), 1, n]
+    return [Permutation(tuple(images)) for images in (transposition, cycle)]
+
+
+def wreath_sk_s2(n: int) -> list[Permutation]:
+    k = n // 2
+    transposition = [2, 1, *range(3, n + 1)]
+    cycle = [*range(2, k + 1), 1, *range(k + 1, n + 1)]
+    swap = [*range(k + 1, n + 1), *range(1, k + 1)]
+    return [Permutation(tuple(images)) for images in (transposition, cycle, swap)]
 
 
 def even_pair(n: int) -> list[Permutation]:
@@ -88,4 +107,8 @@ if __name__ == "__main__":
         "wreath_s2_sk": {str(n): best_of(wreath(n // 2)) for n in (18, 24, 32, 40)},
         "even_pair": {str(n): best_of(even_pair(n)) for n in (20, 24, 32)},
         "block_pair": {str(n): best_of(block_pair(n)) for n in (17, 18, 20)},
+        **{
+            name: {str(n): best_of(family(n)) for n in (MAX_TRIPLE_DEGREE, MAX_TRIPLE_DEGREE + 4)}
+            for name, family in (("point_stabilizer", point_stabilizer), ("wreath_sk_s2", wreath_sk_s2))
+        },
     }))
