@@ -83,10 +83,10 @@ def _cmd_z1_principal(args) -> int:
 
     p = parse_presentation(args.presentation)
     rs = parse_root_system(args.root_system)
-    z1 = z1_dim_principal(p, rs)
+    z1, dim = z1_dim_principal(p, rs), dimension(rs)
     _emit(
         args, f"{z1}\n", presentation=str(p), root_system=str(rs),
-        z1=z1, dim=dimension(rs), t_minus_dim=z1 - dimension(rs),
+        z1=z1, dim=dim, t_minus_dim=z1 - dim,
     )
     return 0
 
@@ -331,16 +331,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    # chi's denominator may pass Python's digit limit on int <-> str; lift it for this call
+    # an integer argument or chi's denominator may pass Python's digit limit on
+    # int <-> str; lift it for this call, parsing included
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if digits:
         sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes included

@@ -104,9 +104,9 @@ def euler_characteristic(genus: int, periods: Iterable[int]) -> Fraction:
 class FuchsianPresentation(Record):
     """A hyperbolic signature (g; d_1, ..., d_m), periods sorted ascending.
 
-    Construction rejects any signature with chi >= 0, so every instance
-    names an actual cocompact Fuchsian group.  Instances are immutable and
-    compare by (genus, period multiset).
+    Construction computes chi once, keeps it and rejects chi >= 0, so every
+    instance names an actual cocompact Fuchsian group.  Instances are
+    immutable and compare by (genus, period multiset).
     """
 
     genus: int
@@ -120,13 +120,14 @@ class FuchsianPresentation(Record):
                 f"signature g={self.genus}, d={list(self.periods)} has "
                 f"Euler characteristic {chi} >= 0"
             )
+        object.__setattr__(self, "_chi", chi)  # not a field: equality, hash and repr ignore it
 
     @property
     def m(self) -> int:
         return len(self.periods)
 
     def euler_characteristic(self) -> Fraction:
-        return euler_characteristic(self.genus, self.periods)
+        return self._chi
 
     def __str__(self) -> str:
         """Render in the CLI syntax, e.g. ``g=0;d=2,3,7`` (empty: ``g=2;d=``)."""

@@ -9,8 +9,10 @@ than repvar's stabilizer chain, interval representatives go through a
 smallest-numerator scan and through closed forms in d mod 4 and d mod 36,
 both checked with pure integer inequalities, rather than candidates filtered
 by repvar's numerator range, triangle witnesses go through a plain triple loop rather than one interval
-query per numerator pair, and Lie algebra dimensions go through the
-per-family closed forms rather than the exponents.
+query per numerator pair, Lie algebra dimensions go through the
+per-family closed forms rather than the exponents, and the Euler
+characteristic goes through one fraction over the lcm of the periods rather
+than a fraction per period.
 
 The permutation helpers at the top (identity, inverse, power, a canonical
 permutation of a cycle type) are used only by tests and the oracles.  The
@@ -26,6 +28,14 @@ from math import gcd, lcm
 
 from repvar.eigen import Permutation, perm_compose, perm_order
 from repvar.liedata import RootSystem, exponents
+
+
+def lcm_euler_characteristic(genus: int, periods) -> Fraction:
+    """chi = ((2 - 2g - m) L + sum_i L/d_i) / L with L the lcm of the periods,
+    so the only reduction is the one the final ``Fraction`` makes."""
+    periods = tuple(periods)
+    common = lcm(*periods)  # 1 for no periods
+    return Fraction((2 - 2 * genus - len(periods)) * common + sum(common // d for d in periods), common)
 
 
 def identity_perm(n: int) -> Permutation:

@@ -245,6 +245,34 @@ def test_long_signatures_keep_the_exit_code_contract(capsys):
             sys.set_int_max_str_digits(before)
 
 
+def test_long_integer_arguments_reach_their_range_checks(capsys):
+    # a 5,001-digit token passes Python's default digit limit, so main lifts
+    # the limit before parsing: the handler's range check answers, not argparse
+    big = "1" + "0" * 5000
+    has_limit = hasattr(sys, "get_int_max_str_digits")
+    before = sys.get_int_max_str_digits() if has_limit else None
+    try:
+        if has_limit:
+            sys.set_int_max_str_digits(4300)
+        for argv, expected in (
+            (("z1", "alternating", "g=0;d=2,3,7", "--degree", big), "degree must be <= 1000000"),
+            (("scan-triples", "--dmax", big), "dmax must be <= 200"),
+            (("tables", "genus0", "--m", big), "m must be <= 10000"),
+            (("interval", big, "--case", "1"), None),
+            (("interval", big, "--case", "4"), "argument --case: invalid choice"),
+        ):
+            code, out, err = run(capsys, *argv)
+            if expected is None:
+                assert (code, err) == (0, "") and len(out) > 4300, argv
+            else:
+                assert (code, out) == (2, "") and f"error: {expected}" in err, argv
+            if has_limit:
+                assert sys.get_int_max_str_digits() == 4300, "limit not restored"
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(before)
+
+
 def test_upper_bound(capsys):
     code, out, _ = run(capsys, "upper-bound", "g=0;d=2,3,7", "G2")
     assert (code, out) == (0, "85/3\n")

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 from fixtures import APPENDIX_DERIVED
+from repvar.cli import main
 from repvar.cocycle import (
     MismatchedPeriodsError,
     NonIntegerResultError,
@@ -21,6 +22,7 @@ from repvar.eigen import balanced_class
 from repvar.liedata import RootSystem, dimension, parse_root_system
 from repvar.permgrp import APPENDIX_ENTRIES
 from repvar.presentation import FuchsianPresentation, euler_characteristic
+from repvar.report import COLUMNS
 
 EXCEPTIONAL_AND_A1 = ("A1", "E6", "E7", "E8", "F4", "G2")
 
@@ -53,6 +55,31 @@ def test_z1_dim_guards_the_euler_characteristic(monkeypatch):
         )
         with pytest.raises(NonIntegerResultError, match=message):
             z1_dim(p, torsion, 248)
+
+
+def test_each_presentation_evaluates_chi_once(monkeypatch):
+    # validation computes chi and the presentation keeps it: no formula and no
+    # CLI call evaluates it again
+    calls = []
+
+    def counted(genus, periods):
+        calls.append((genus, periods))
+        return euler_characteristic(genus, periods)
+
+    monkeypatch.setattr("repvar.presentation.euler_characteristic", counted)
+    for genus, periods in ((0, (2, 3, 7)), (2, (3, 3))):
+        p = FuchsianPresentation(genus, periods)
+        for label in COLUMNS:
+            z1_dim_principal(p, _rs(label))
+            exceptional_inequality(p, _rs(label))
+        upper_bound(p, 14, 2)
+        z1_dim_alternating_so(p, [balanced_class(21, d) for d in p.periods], 21)
+        assert calls == [(genus, periods)]
+        calls.clear()
+    for argv in (["validate", "g=0;d=2,3,7"], ["upper-bound", "g=2;d=3,3", "G2"]):
+        assert main(argv) == 0
+        assert len(calls) == 1, argv[0]
+        calls.clear()
 
 
 def test_z1_dim_rejects_mismatched_periods():

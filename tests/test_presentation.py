@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import lcm_euler_characteristic
 from repvar.presentation import (
     BadPeriodError,
     FuchsianPresentation,
@@ -18,6 +22,32 @@ def test_euler_characteristic_examples():
     assert euler_characteristic(2, ()) == -2
     assert euler_characteristic(0, (2, 3, 7)) == Fraction(-1, 42)
     assert euler_characteristic(0, (3, 3, 3)) == 0  # Euclidean boundary case
+
+
+# small primes and the primes just below 10^6: distinct ones are pairwise coprime
+_PRIMES = [
+    p for p in [*range(2, 60), *range(10**6 - 200, 10**6)]
+    if all(p % q for q in range(2, isqrt(p) + 1))
+]
+_PERIOD_LISTS = st.one_of(
+    st.lists(st.integers(2, 10**6), max_size=8),
+    st.lists(st.integers(2, 7), max_size=4),  # reaches chi >= 0
+    st.lists(st.integers(2, 10**6), min_size=1, max_size=4).map(lambda ds: ds + ds),
+    st.lists(st.sampled_from(_PRIMES), max_size=8, unique=True),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(genus=st.integers(0, 5), periods=_PERIOD_LISTS)
+def test_euler_characteristic_matches_the_lcm_oracle(genus, periods):
+    chi = lcm_euler_characteristic(genus, periods)
+    assert euler_characteristic(genus, periods) == chi
+    if chi < 0:
+        # the value a presentation keeps is the one the function computes
+        assert FuchsianPresentation(genus, tuple(periods)).euler_characteristic() == chi
+    else:
+        with pytest.raises(NonHyperbolicError):
+            FuchsianPresentation(genus, tuple(periods))
 
 
 def test_euler_characteristic_rejects_bad_input():
